@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -250,9 +249,6 @@ def _spectral_summary(g: Graph, y: list[float], tv_result: metrics.TVResult) -> 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     cfg.validate()
-    threads = os.environ.get("LINKMETRIC_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        raise ValueError("LINKMETRIC_THREADS must be a positive integer")
 
     if cfg.edges_path is not None:
         g = graphmod.largest_connected_component(

@@ -3,8 +3,10 @@
 The weighted-average update is
     x_i(k+1) = x_i(k) + (eps / w_i) * sum_{j in N_i} (x_j(k) - x_i(k)),
 with all updates reading round-k values (Jacobi contract). Neighbor
-accumulation runs in ascending neighbor-id order; the simulation harness
-reuses `wac_step_value` so its traces are bit-identical to `wac_run`.
+accumulation runs in ascending neighbor-id order. `wac_run` applies it to
+all nodes at once as a NumPy column sweep that keeps that order;
+`wac_step_value` is the per-node form the simulation harness runs, and
+the two give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
+
+import numpy as np
 
 from . import graph as graphmod
 from .graph import DisconnectedGraphError, Graph
@@ -114,10 +118,6 @@ def wac_step_value(x_i: float, neighbor_states: Sequence[float], scale: float) -
     return x_i + scale * acc
 
 
-def _spread(x: list[float]) -> float:
-    return max(x) - min(x)
-
-
 def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
     if cfg.epsilon is None:
         return cfg.epsilon_fraction * delta
@@ -132,6 +132,24 @@ def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
     return eps
 
 
+def _column_sweep_layout(g: Graph):
+    """Jagged-diagonal layout of the adjacency, in degree-sorted order.
+
+    `perm` sorts the nodes by degree, descending and stable, and `pos` is
+    its inverse. Column c lists, for the `counts[c]` nodes of degree > c
+    (a prefix of the sorted order), the sorted position of each one's
+    c-th smallest neighbor id. `nbr` holds the columns end to end, and
+    `rows` the matching own positions.
+    """
+    deg = np.array(g.degrees)
+    perm = np.argsort(-deg, kind="stable")
+    pos = np.argsort(perm)
+    counts = [int(np.count_nonzero(deg > c)) for c in range(deg.max())]
+    nbr = np.array([pos[g.adjacency[i][c]] for c, k in enumerate(counts) for i in perm[:k]])
+    rows = np.concatenate([np.arange(k) for k in counts])
+    return perm, pos, counts, nbr, rows
+
+
 def wac_run(
     g: Graph,
     x0: Sequence[float],
@@ -144,6 +162,10 @@ def wac_run(
     state spread drops below `spread_tolerance`, or `max_iterations` is
     hit (converged=False). Runs that blow up to non-finite values abort
     early as unconverged.
+
+    Each round sweeps the columns of `_column_sweep_layout`, so every node
+    sums x_j - x_i from 0.0 in ascending neighbor-id order, as
+    `wac_step_value` does: iterates are bit-identical to the per-node form.
     """
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
@@ -153,43 +175,48 @@ def wac_run(
     delta = max_step_size(w, g)
     eps = resolve_epsilon(cfg, delta)
 
-    n = g.node_count
-    adj = g.adjacency
-    x = [float(v) for v in x0]
-    scale = [eps / wi for wi in w]
-    trace: list[list[float]] | None = [list(x)] if cfg.record_trace else None
+    perm, pos, counts, nbr, rows = _column_sweep_layout(g)
+    # x, scale and acc are in sorted order; x[pos] is node order.
+    x = np.array(x0, dtype=float)[perm]
+    scale = (eps / np.array(w, dtype=float))[perm]
+    acc, diff = np.empty(len(x)), np.empty(len(nbr))
+    offsets = np.cumsum([0] + counts)
+    columns = [(acc[:k], diff[lo:lo + k]) for k, lo in zip(counts, offsets)]
+    trace: list[list[float]] | None = [x[pos].tolist()] if cfg.record_trace else None
     residuals: list[float] = []
 
     iterations = 0
-    converged = _spread(x) <= cfg.spread_tolerance
-    while not converged and iterations < cfg.max_iterations:
-        new = [0.0] * n
-        resid = 0.0
-        for i in range(n):
-            xi = x[i]
-            acc = 0.0
-            for j in adj[i]:
-                acc += x[j] - xi
-            v = xi + scale[i] * acc
-            new[i] = v
-            step = v - xi
-            if step < 0.0:
-                step = -step
-            if step > resid:
-                resid = step
-        x = new
-        iterations += 1
-        residuals.append(resid)
-        if trace is not None:
-            trace.append(list(x))
-        if not math.isfinite(resid):
-            converged = False
-            break
-        converged = resid <= cfg.step_tolerance or _spread(x) <= cfg.spread_tolerance
+    # Divergent runs overflow to inf and nan, then stop on the non-finite
+    # residual, so the floating-point warnings carry nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        converged = float(x.max() - x.min()) <= cfg.spread_tolerance
+        while not converged and iterations < cfg.max_iterations:
+            # Indices are in range by construction; mode="clip" only
+            # spares take() the buffered copy that mode="raise" makes.
+            x.take(nbr, out=diff, mode="clip")
+            diff -= x.take(rows, mode="clip")
+            acc.fill(0.0)
+            for acc_c, diff_c in columns:
+                acc_c += diff_c
+            new = x + scale * acc
+            # fmax skips nan steps, as the scalar `step > resid` test does.
+            resid = float(np.fmax.reduce(np.abs(new - x), initial=0.0))
+            x = new
+            iterations += 1
+            residuals.append(resid)
+            if trace is not None:
+                trace.append(x[pos].tolist())
+            if not math.isfinite(resid):
+                break
+            converged = (
+                resid <= cfg.step_tolerance
+                or float(x.max() - x.min()) <= cfg.spread_tolerance
+            )
 
-    value = math.fsum(x) / n if all(map(math.isfinite, x)) else math.nan
+    final = x[pos].tolist()
+    value = math.fsum(final) / len(final) if all(map(math.isfinite, final)) else math.nan
     return ConsensusRun(
-        final_states=x,
+        final_states=final,
         iterations_used=iterations,
         converged=converged,
         consensus_value=value,
@@ -227,7 +254,7 @@ def min_consensus(
         x = new
     raise RuntimeError(
         f"min_consensus did not stabilize within {max_rounds} rounds; "
-        "this should be impossible on a connected graph with max_rounds >= diameter"
+        "this should be impossible on a connected graph with max_rounds >= N - 1"
     )
 
 
@@ -241,6 +268,6 @@ def distributed_step_bound(g: Graph, y: Sequence[float], k: int) -> float:
     """min_i (sum_{j in N_i} y_j**k) / d_i, agreed via min-consensus."""
     sums = neighbor_weight_sums(g, y, k)
     x0 = [s / d for s, d in zip(sums, g.degrees)]
-    rounds = max(1, graphmod.diameter(g))
-    states, _ = min_consensus(g, x0, rounds)
+    # N - 1 bounds the diameter; min_consensus stops once a round changes nothing.
+    states, _ = min_consensus(g, x0, max(1, g.node_count - 1))
     return states[0]

@@ -4,7 +4,8 @@ Each node is an isolated state machine that only ever sees messages from
 its graph neighbors. Rounds are lockstep: all nodes emit, then all nodes
 consume their neighbors' round-k messages and update. Used to show the
 consensus protocols are genuinely distributed and to cross-validate the
-engine (traces are bit-identical by construction).
+engine (traces are bit-identical: both sum neighbor differences in
+ascending neighbor-id order).
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def make_wac_program(w: Sequence[float], epsilon: float) -> NodeProgram:
     """Weighted-average-consensus node program.
 
     Node state is (x, scale) with scale = epsilon / w_i; the broadcast
-    message is the bare state value. The update defers to
-    engine.wac_step_value so harness and engine traces match bitwise.
+    message is the bare state value. The update is
+    engine.wac_step_value, the per-node form of engine.wac_run's sweep.
     """
     engine.validate_positive(w, "w")
     if epsilon <= 0:

@@ -3,7 +3,8 @@
 The iteration matrix I - eps*W^{-1}L is similar to the symmetric matrix
 P = I - eps*W^{-1/2} L W^{-1/2}, whose real eigenvalues determine the
 asymptotic per-iteration error contraction rho = max(|lambda_2|,
-|lambda_N|). Eigenvalues come from a cyclic Jacobi rotation sweep.
+|lambda_N|). Eigenvalues come from LAPACK's symmetric solver
+(`numpy.linalg.eigvalsh`).
 """
 
 from __future__ import annotations
@@ -56,12 +57,8 @@ def normalized_weight_matrix(g: Graph, w: Sequence[float], epsilon: float) -> np
     return m
 
 
-def symmetric_eigenvalues(m: np.ndarray, sweep_limit: int = 100) -> list[float]:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below 1e-12 times
-    the matrix norm; result sorted descending.
-    """
+def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
+    """All eigenvalues of a symmetric matrix, sorted descending."""
     a = np.array(m, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -69,30 +66,7 @@ def symmetric_eigenvalues(m: np.ndarray, sweep_limit: int = 100) -> list[float]:
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    if n == 1:
-        return [float(a[0, 0])]
-
-    norm = np.linalg.norm(a)
-    tol = 1e-12 * max(norm, np.finfo(float).tiny)
-    for _ in range(sweep_limit):
-        off = math.sqrt(max(0.0, norm * norm - float(np.sum(np.diag(a) ** 2))))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-    return sorted((float(v) for v in np.diag(a)), reverse=True)
+    return sorted((float(v) for v in np.linalg.eigvalsh(a)), reverse=True)
 
 
 def convergence_factor(eigenvalues: Sequence[float]) -> float:

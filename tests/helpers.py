@@ -27,6 +27,24 @@ def complete(n: int) -> Graph:
     return from_edges(n, [(i, j) for i in range(n - 1) for j in range(i + 1, n)])
 
 
+def preferential_attachment(n: int, attach: int, seed: int) -> Graph:
+    """Seeded Barabasi-Albert graph: a clique on attach+1 nodes, then each
+    new node links to `attach` distinct earlier nodes drawn in proportion
+    to degree, so the first nodes grow into hubs."""
+    rng = SplitMix64(seed)
+    core = attach + 1
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    ends = [v for e in edges for v in e]
+    for v in range(core, n):
+        targets: set[int] = set()
+        while len(targets) < attach:
+            targets.add(ends[rng.next_uint64() % len(ends)])
+        for u in sorted(targets):
+            edges.append((u, v))
+            ends += (u, v)
+    return from_edges(n, edges)
+
+
 def er_instance(seed: int, n_lo: int = 20, n_hi: int = 200, mean_degree: float = 5.0,
                 attr_mean: float = 5.0) -> tuple[Graph, list[float]]:
     """Seeded connected ER graph plus positive exponential attributes."""

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import pytest
 
+from linkmetrics import cli
 from linkmetrics.engine import (
     ConfigurationError,
     ConsensusConfig,
@@ -99,6 +101,27 @@ class TestWacRun:
         )
         run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
         assert not run.converged
+
+    @pytest.mark.parametrize("epsilon, stop", [(1.5, 1455), (2.5, 582), (10.0, 253)])
+    def test_divergent_run_stops_silently_at_first_overflow(self, epsilon, stop):
+        g = cli.generate_synthetic(200, 0.025, 42)
+        y = cli.generate_attributes(g, 5.0, 42)
+        cfg = ConsensusConfig(epsilon=epsilon, allow_unstable_epsilon=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = wac_run(g, y, [float(d) for d in g.degrees], cfg)
+        assert run.iterations_used == stop
+        assert not run.converged
+        assert run.residual_trace[-1] == math.inf
+
+    def test_infinite_start_reports_inf_residual(self):
+        # Node 0 becomes nan (its step is nan, and skipped); node 1 becomes inf.
+        cfg = ConsensusConfig(epsilon=0.5, record_trace=True)
+        run = wac_run(path(3), [math.inf, 1.0, 2.0], [2.0, 2.0, 2.0], cfg)
+        assert run.residual_trace == [math.inf]
+        assert run.iterations_used == 1
+        assert not run.converged
+        assert math.isnan(run.trace[1][0]) and run.trace[1][1] == math.inf
 
     def test_disconnected_rejected(self):
         g = from_edges(4, [(0, 1), (2, 3)])

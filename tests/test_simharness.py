@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkmetrics.engine import ConsensusConfig, neighbor_weight_sums, wac_run
 from linkmetrics.graph import from_edges
@@ -9,11 +10,42 @@ from linkmetrics.simharness import (
     run_synchronous,
 )
 
-from helpers import er_instance, path, star, triangle
+from helpers import complete, er_instance, path, preferential_attachment, star, triangle
 
 
 def directed_edge_pairs(g):
     return {(i, j) for i in range(g.node_count) for j in g.adjacency[i]}
+
+
+def engine_and_harness_traces(g, y, w, rounds):
+    """Engine and harness traces at 0.9 of the bound. The engine may stop
+    before `rounds` once the states agree; the harness trace is cut to the
+    engine's length."""
+    eps = 0.9 * min(wi / di for wi, di in zip(w, g.degrees))
+    cfg = ConsensusConfig(
+        epsilon=eps, max_iterations=rounds, record_trace=True,
+        step_tolerance=1e-300, spread_tolerance=1e-300,
+    )
+    run = wac_run(g, y, w, cfg)
+    trace = run_synchronous(g, make_wac_program(w, eps), y, max_rounds=rounds)
+    return trace.state_values()[: len(run.trace)], run.trace
+
+
+@st.composite
+def connected_instances(draw):
+    """A small connected graph with shuffled node labels, positive
+    attributes and positive weights."""
+    n = draw(st.integers(2, 12))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    labels = draw(st.permutations(range(n)))
+    edges = [(labels[p], labels[v]) for v, p in enumerate(parents, start=1)]
+    edges += [(labels[i], labels[j]) for i, j in extra]
+    positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    y = draw(st.lists(positive, min_size=n, max_size=n))
+    w = draw(st.lists(positive, min_size=n, max_size=n))
+    return from_edges(n, edges), y, w
 
 
 class TestRunSynchronous:
@@ -103,6 +135,24 @@ class TestCrossValidation:
         run = wac_run(g, y, w, cfg)
         trace = run_synchronous(g, make_wac_program(w, eps), y, max_rounds=rounds)
         assert trace.state_values() == run.trace
+
+    @pytest.mark.parametrize(
+        "g",
+        [path(2), path(7), star(9), complete(6), preferential_attachment(80, 2, 3)],
+        ids=["path2", "path7", "star9", "complete6", "pa80"],
+    )
+    def test_trace_bit_identical_on_uneven_degrees(self, g):
+        y = [1.0 + (7 * i % 11) / 3.0 for i in range(g.node_count)]
+        for w in ([float(d) for d in g.degrees], neighbor_weight_sums(g, y, 1)):
+            harness, engine = engine_and_harness_traces(g, y, w, rounds=40)
+            assert harness == engine
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_instances())
+    def test_trace_bit_identical_on_random_graphs(self, instance):
+        g, y, w = instance
+        harness, engine = engine_and_harness_traces(g, y, w, rounds=25)
+        assert harness == engine
 
     def test_locality_audit(self):
         g, y = er_instance(1, n_lo=20, n_hi=40)
