@@ -12,12 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import engine, graph as graphmod, metrics, oracle, spectral
-from .engine import ConsensusConfig
+from .engine import ConsensusConfig, ConsensusRun
 from .graph import Graph
 from .rng import SplitMix64, derive_seed
 
@@ -56,8 +56,8 @@ def generate_synthetic(n: int, p: float, seed: int) -> Graph:
 
 def generate_attributes(g: Graph, mean: float, seed: int) -> list[float]:
     """I.i.d. exponential attributes from the pinned generator; all > 0."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
+    if not 0 < mean < math.inf:
+        raise ValueError("mean must be positive and finite")
     rng = SplitMix64(derive_seed(seed, _ATTR_STREAM))
     return [rng.exponential(mean) for _ in range(g.node_count)]
 
@@ -148,16 +148,16 @@ class ExperimentConfig:
     exp_mean: float | None = None
     metric: str = "tv"
     spec_path: str | None = None
-    eps_fraction: float = 0.9
+    eps_fraction: float = ConsensusConfig.epsilon_fraction
     epsilon: float | None = None
     shift: float | None = None
     analyze: bool = False
     with_oracle: bool = False
     out_dir: str = "out"
     allow_unstable_epsilon: bool = False
-    max_iterations: int = 10**6
-    step_tolerance: float = 1e-12
-    spread_tolerance: float = 1e-10
+    max_iterations: int = ConsensusConfig.max_iterations
+    step_tolerance: float = ConsensusConfig.step_tolerance
+    spread_tolerance: float = ConsensusConfig.spread_tolerance
     write_traces: bool = True
 
     def validate(self) -> None:
@@ -171,80 +171,66 @@ class ExperimentConfig:
             raise ValueError("metric must be 'tv' or 'poly'")
         if self.metric == "poly" and self.spec_path is None:
             raise ValueError("--metric poly requires --spec PATH")
-        if self.shift is not None and self.shift <= 0:
-            raise ValueError("--shift must be positive")
+        if self.shift is not None:
+            # The shift study compares the WAC1 bound Delta1 of total variation.
+            if self.metric != "tv":
+                raise ValueError("--shift applies to --metric tv only")
+            if not 0 < self.shift < math.inf:
+                raise ValueError("--shift must be positive and finite")
+
+    def consensus(self) -> ConsensusConfig:
+        """The consensus settings every stage of the run shares."""
+        return ConsensusConfig(
+            epsilon=self.epsilon,
+            epsilon_fraction=self.eps_fraction,
+            step_tolerance=self.step_tolerance,
+            spread_tolerance=self.spread_tolerance,
+            max_iterations=self.max_iterations,
+            record_trace=self.write_traces,
+            allow_unstable_epsilon=self.allow_unstable_epsilon,
+        )
 
 
-def _consensus_config(cfg: ExperimentConfig) -> ConsensusConfig:
-    return ConsensusConfig(
-        epsilon=cfg.epsilon,
-        epsilon_fraction=cfg.eps_fraction,
-        step_tolerance=cfg.step_tolerance,
-        spread_tolerance=cfg.spread_tolerance,
-        max_iterations=cfg.max_iterations,
-        record_trace=cfg.write_traces,
-        allow_unstable_epsilon=cfg.allow_unstable_epsilon,
-    )
+Stages = list[tuple[str, ConsensusRun]]
 
 
-def _stage_entry(name: str, run: engine.ConsensusRun, delta: float) -> dict:
-    return {
-        "stage": name,
-        "epsilon": run.epsilon,
-        "delta": delta,
-        "iterations": run.iterations_used,
-        "converged": run.converged,
-        "value": run.consensus_value,
-    }
+def _run_metric(
+    g: Graph, y: list[float], spec: metrics.MetricSpec | None, ccfg: ConsensusConfig
+) -> tuple[float, dict, Stages]:
+    """Run total variation (spec None) or the polynomial metric `spec`.
 
-
-def _run_tv(g: Graph, y: list[float], ccfg: ConsensusConfig, out: Path, prefix: str = ""):
-    result = metrics.total_variation_pipeline(g, y, ccfg)
-    stage_names = ("stage1", "stage2", "stage3")
-    deltas = (1.0, result.delta1, 1.0)
-    stages = [
-        _stage_entry(prefix + n, r, d)
-        for n, r, d in zip(stage_names, result.runs, deltas)
-    ]
-    if ccfg.record_trace:
-        for n, r in zip(stage_names, result.runs):
-            _write_trace_csv(out / f"{n}_trace.csv", r.trace)
-    alphas = {"alpha1": result.alpha1, "alpha2": result.alpha2, "alpha3": result.alpha3}
-    return result.total_variation, stages, alphas, result
-
-
-def _run_poly(g: Graph, y: list[float], spec: metrics.MetricSpec, ccfg: ConsensusConfig, out: Path):
+    Returns the metric value, its alphas and its (stage name, run) pairs.
+    """
+    if spec is None:
+        r = metrics.total_variation_pipeline(g, y, ccfg)
+        alphas = {"alpha1": r.alpha1, "alpha2": r.alpha2, "alpha3": r.alpha3}
+        stages = [(f"stage{i}", run) for i, run in enumerate(r.runs, 1)]
+        return r.total_variation, alphas, stages
     terms = metrics.polynomial_metric_terms(g, y, spec, ccfg)
     stages, alphas = [], {}
     for t in terms:
         key = f"term_{t.l}_{t.k}"
-        bound1 = t.runs[0].max_step_bound
-        stages.append(_stage_entry(f"{key}_stage1", t.runs[0], bound1))
-        stages.append(_stage_entry(f"{key}_stage2", t.runs[1], 1.0))
         alphas[key] = {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
-        if ccfg.record_trace:
-            _write_trace_csv(out / f"{key}_stage1_trace.csv", t.runs[0].trace)
-            _write_trace_csv(out / f"{key}_stage2_trace.csv", t.runs[1].trace)
-    value = math.fsum(t.h_lk for t in terms)
-    return value, stages, alphas, terms
+        stages += [(f"{key}_stage{i}", run) for i, run in enumerate(t.runs, 1)]
+    return math.fsum(t.h_lk for t in terms), alphas, stages
 
 
-def _spectral_summary(g: Graph, y: list[float], tv_result: metrics.TVResult) -> dict:
-    degrees = [float(d) for d in g.degrees]
-    w1 = engine.neighbor_weight_sums(g, y, 1)
-    out = {}
-    for name, w, run in (
-        ("stage1", degrees, tv_result.runs[0]),
-        ("stage2", w1, tv_result.runs[1]),
-        ("stage3", degrees, tv_result.runs[2]),
-    ):
-        report = spectral.spectral_report(g, w, run.epsilon)
-        out[name] = {
-            "epsilon": report.epsilon,
-            "lambda1": report.eigenvalues[0],
-            "rho": report.rho,
-        }
-    return out
+def _stage_entries(stages: Stages, out: Path) -> list[dict]:
+    """summary.json entries of `stages`; each recorded trace goes to
+    out/<stage>_trace.csv."""
+    entries = []
+    for name, run in stages:
+        if run.trace is not None:
+            _write_trace_csv(out / f"{name}_trace.csv", run.trace)
+        entries.append({
+            "stage": name,
+            "epsilon": run.epsilon,
+            "delta": run.max_step_bound,
+            "iterations": run.iterations_used,
+            "converged": run.converged,
+            "value": run.consensus_value,
+        })
+    return entries
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -264,58 +250,61 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ccfg = _consensus_config(cfg)
-
-    summary: dict = {"graph": {"n": g.node_count, "m": g.edge_count}}
-    tv_result = None
-    if cfg.metric == "tv":
-        value, stages, alphas, tv_result = _run_tv(g, y, ccfg, out)
-        all_converged = tv_result.converged
-    else:
+    ccfg = cfg.consensus()
+    spec = None
+    if cfg.metric == "poly":
         spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8"))
-        value, stages, alphas, terms = _run_poly(g, y, spec, ccfg, out)
-        all_converged = all(t.converged for t in terms)
-    summary["stages"] = stages
-    summary["alphas"] = alphas
-    summary["metric_value"] = value
 
-    if cfg.with_oracle:
-        if cfg.metric == "tv":
-            ref = oracle.exact_total_variation(g, y)
-            a1, a2, a3 = oracle.exact_alphas(g, y)
-            summary["oracle"] = {
-                "metric_value": ref,
-                "delta": value - ref,
-                "alphas": {"alpha1": a1, "alpha2": a2, "alpha3": a3},
+    value, alphas, stages = _run_metric(g, y, spec, ccfg)
+    summary: dict = {
+        "graph": {"n": g.node_count, "m": g.edge_count},
+        "stages": _stage_entries(stages, out),
+        "alphas": alphas,
+        "metric_value": value,
+        "oracle": None,
+        "spectral": None,
+    }
+
+    if cfg.with_oracle and spec is None:
+        ref = oracle.exact_total_variation(g, y)
+        a1, a2, a3 = oracle.exact_alphas(g, y)
+        summary["oracle"] = {
+            "metric_value": ref,
+            "delta": value - ref,
+            "alphas": {"alpha1": a1, "alpha2": a2, "alpha3": a3},
+        }
+    elif cfg.with_oracle:
+        ref = oracle.exact_polynomial_metric(g, y, spec)
+        summary["oracle"] = {"metric_value": ref, "delta": value - ref}
+
+    if cfg.analyze:
+        summary["spectral"] = {}
+        for name, run in stages:
+            report = spectral.spectral_report(g, run.weights, run.epsilon)
+            summary["spectral"][name] = {
+                "epsilon": report.epsilon,
+                "lambda1": report.eigenvalues[0],
+                "rho": report.rho,
             }
-        else:
-            ref = oracle.exact_polynomial_metric(g, y, spec)
-            summary["oracle"] = {"metric_value": ref, "delta": value - ref}
-    else:
-        summary["oracle"] = None
 
-    if cfg.analyze and tv_result is not None:
-        summary["spectral"] = _spectral_summary(g, y, tv_result)
-    else:
-        summary["spectral"] = None
-
-    if cfg.shift is not None and cfg.metric == "tv":
-        shifted_y = metrics.shift_attributes(y, cfg.shift)
+    if cfg.shift is not None:
         shifted_out = out / "shifted"
         shifted_out.mkdir(exist_ok=True)
-        s_value, s_stages, s_alphas, s_result = _run_tv(g, shifted_y, ccfg, shifted_out)
+        shifted_y = metrics.shift_attributes(y, cfg.shift)
+        s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg)
         summary["shifted"] = {
             "shift": cfg.shift,
-            "stages": s_stages,
+            "stages": _stage_entries(s_stages, shifted_out),
             "alphas": s_alphas,
             "metric_value": s_value,
-            "delta1_before": tv_result.delta1,
-            "delta1_after": s_result.delta1,
+            # Stage 2 (WAC1) is the one whose bound Delta1 the shift enlarges.
+            "delta1_before": stages[1][1].max_step_bound,
+            "delta1_after": s_stages[1][1].max_step_bound,
         }
-        all_converged = all_converged and s_result.converged
+        stages += s_stages
 
     (out / "summary.json").write_text(_to_json(summary) + "\n", encoding="utf-8")
-    return 0 if all_converged else 2
+    return 0 if all(run.converged for _, run in stages) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,62 +312,58 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is an ExperimentConfig field (--er N P is split by
+    config_from_args); a flag left out leaves that field's default."""
     parser = argparse.ArgumentParser(
         prog="linkmetrics",
         description="Compute link-based network metrics with consensus pipelines.",
+        argument_default=argparse.SUPPRESS,
     )
     src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--edges", metavar="PATH", help="edge-list file (SNAP format)")
+    src.add_argument(
+        "--edges", dest="edges_path", metavar="PATH", help="edge-list file (SNAP format)"
+    )
     src.add_argument(
         "--er", nargs=2, metavar=("N", "P"), help="synthetic Erdos-Renyi graph"
     )
     attrs = parser.add_mutually_exclusive_group(required=True)
-    attrs.add_argument("--attrs", metavar="PATH", help="attribute file (node value)")
+    attrs.add_argument(
+        "--attrs", dest="attrs_path", metavar="PATH", help="attribute file (node value)"
+    )
     attrs.add_argument(
         "--exp-mean", type=float, metavar="M", help="exponential attributes, mean M"
     )
     parser.add_argument("--seed", type=int, help="seed for synthetic sources")
-    parser.add_argument("--metric", choices=("tv", "poly"), default="tv")
-    parser.add_argument("--spec", metavar="PATH", help="polynomial spec file (l k c lines)")
-    parser.add_argument("--eps-frac", type=float, default=0.9, metavar="F")
+    parser.add_argument("--metric", choices=("tv", "poly"))
+    parser.add_argument(
+        "--spec", dest="spec_path", metavar="PATH", help="polynomial spec file (l k c lines)"
+    )
+    parser.add_argument("--eps-frac", dest="eps_fraction", type=float, metavar="F")
     parser.add_argument("--epsilon", type=float, help="explicit step size for all stages")
-    parser.add_argument("--shift", type=float, metavar="C", help="also run with attributes + C")
+    parser.add_argument(
+        "--shift", type=float, metavar="C", help="also run with attributes + C (tv only)"
+    )
     parser.add_argument("--analyze", action="store_true", help="attach spectral report")
-    parser.add_argument("--oracle", action="store_true", help="attach reference values")
-    parser.add_argument("--out", default="out", metavar="DIR")
+    parser.add_argument(
+        "--oracle", dest="with_oracle", action="store_true", help="attach reference values"
+    )
+    parser.add_argument("--out", dest="out_dir", metavar="DIR")
     parser.add_argument("--allow-unstable-epsilon", action="store_true")
-    parser.add_argument("--max-iters", type=int, default=10**6, metavar="K")
-    parser.add_argument("--tol-step", type=float, default=1e-12, metavar="X")
-    parser.add_argument("--tol-spread", type=float, default=1e-10, metavar="Y")
-    parser.add_argument("--no-traces", action="store_true", help="skip trace CSVs")
+    parser.add_argument("--max-iters", dest="max_iterations", type=int, metavar="K")
+    parser.add_argument("--tol-step", dest="step_tolerance", type=float, metavar="X")
+    parser.add_argument("--tol-spread", dest="spread_tolerance", type=float, metavar="Y")
+    parser.add_argument(
+        "--no-traces", dest="write_traces", action="store_false", help="skip trace CSVs"
+    )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    er_n = er_p = None
-    if args.er is not None:
-        er_n, er_p = int(args.er[0]), float(args.er[1])
-    return ExperimentConfig(
-        edges_path=args.edges,
-        er_n=er_n,
-        er_p=er_p,
-        seed=args.seed,
-        attrs_path=args.attrs,
-        exp_mean=args.exp_mean,
-        metric=args.metric,
-        spec_path=args.spec,
-        eps_fraction=args.eps_frac,
-        epsilon=args.epsilon,
-        shift=args.shift,
-        analyze=args.analyze,
-        with_oracle=args.oracle,
-        out_dir=args.out,
-        allow_unstable_epsilon=args.allow_unstable_epsilon,
-        max_iterations=args.max_iters,
-        step_tolerance=args.tol_step,
-        spread_tolerance=args.tol_spread,
-        write_traces=not args.no_traces,
-    )
+    fields = dict(vars(args))
+    if "er" in fields:
+        n, p = fields.pop("er")
+        fields.update(er_n=int(n), er_p=float(p))
+    return ExperimentConfig(**fields)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -49,7 +49,7 @@ class ConsensusConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon_fraction < 1.0):
             raise ConfigurationError("epsilon_fraction must lie in (0, 1)")
-        if self.step_tolerance <= 0 or self.spread_tolerance <= 0:
+        if not self.step_tolerance > 0 or not self.spread_tolerance > 0:
             raise ConfigurationError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
@@ -60,7 +60,8 @@ class ConsensusConfig:
 
 @dataclass
 class ConsensusRun:
-    """Outcome of one weighted-average-consensus iteration."""
+    """Outcome of one weighted-average-consensus iteration: the weights w
+    it ran with, its step size and its stability bound min_i w_i/d_i."""
 
     final_states: list[float]
     iterations_used: int
@@ -68,14 +69,15 @@ class ConsensusRun:
     consensus_value: float
     epsilon: float
     max_step_bound: float
+    weights: list[float]
     trace: list[list[float]] | None = None
     residual_trace: list[float] = field(default_factory=list)
 
 
 def validate_positive(values: Sequence[float], name: str) -> None:
     for i, v in enumerate(values):
-        if not v > 0:
-            raise ValueError(f"{name}[{i}] = {v} must be positive")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name}[{i}] = {v} must be positive and finite")
 
 
 def max_step_size(w: Sequence[float], g: Graph) -> float:
@@ -127,8 +129,8 @@ def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
             f"epsilon {eps} outside stable range (0, {delta}); "
             "pass allow_unstable_epsilon to experiment beyond the bound"
         )
-    if eps <= 0:
-        raise ConfigurationError("epsilon must be positive")
+    if not 0 < eps < math.inf:
+        raise ConfigurationError("epsilon must be positive and finite")
     return eps
 
 
@@ -161,7 +163,8 @@ def wac_run(
     Stops when the max per-node step drops below `step_tolerance`, the
     state spread drops below `spread_tolerance`, or `max_iterations` is
     hit (converged=False). Runs that blow up to non-finite values abort
-    early as unconverged.
+    early as unconverged, and a run whose consensus value is not finite
+    never counts as converged.
 
     Each round sweeps the columns of `_column_sweep_layout`, so every node
     sums x_j - x_i from 0.0 in ascending neighbor-id order, as
@@ -218,10 +221,11 @@ def wac_run(
     return ConsensusRun(
         final_states=final,
         iterations_used=iterations,
-        converged=converged,
+        converged=converged and math.isfinite(value),
         consensus_value=value,
         epsilon=eps,
         max_step_bound=delta,
+        weights=list(w),
         trace=trace,
         residual_trace=residuals,
     )
@@ -260,14 +264,12 @@ def min_consensus(
 
 def distributed_delta1(g: Graph, y: Sequence[float]) -> float:
     """WAC1 step bound via min-consensus over local neighbor averages."""
-    validate_positive(y, "y")
-    return distributed_step_bound(g, y, 1)
+    return distributed_step_bound(g, neighbor_weight_sums(g, y, 1))
 
 
-def distributed_step_bound(g: Graph, y: Sequence[float], k: int) -> float:
-    """min_i (sum_{j in N_i} y_j**k) / d_i, agreed via min-consensus."""
-    sums = neighbor_weight_sums(g, y, k)
-    x0 = [s / d for s, d in zip(sums, g.degrees)]
+def distributed_step_bound(g: Graph, w: Sequence[float]) -> float:
+    """Stability bound min_i w_i / d_i, agreed via min-consensus."""
+    x0 = [wi / d for wi, d in zip(w, g.degrees)]
     # N - 1 bounds the diameter; min_consensus stops once a round changes nothing.
     states, _ = min_consensus(g, x0, max(1, g.node_count - 1))
     return states[0]

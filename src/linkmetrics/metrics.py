@@ -27,9 +27,11 @@ class MetricSpec:
 
     def __post_init__(self):
         seen = set()
-        for l, k, _c in self.terms:
+        for l, k, c in self.terms:
             if l < 0 or k < 0:
                 raise ValueError("polynomial exponents must be >= 0")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of term ({l},{k}) must be finite")
             if (l, k) in seen:
                 raise ValueError(f"duplicate term ({l},{k})")
             seen.add((l, k))
@@ -125,8 +127,8 @@ def total_variation_pipeline(
     run1 = engine.wac_run(g, [v * v for v in y], degrees, _stage_cfg(cfg, 1.0))
     alpha1 = run1.consensus_value
 
-    delta1 = engine.distributed_delta1(g, y)
     w1 = engine.neighbor_weight_sums(g, y, 1)
+    delta1 = engine.distributed_step_bound(g, w1)
     run2 = engine.wac_run(g, list(y), w1, _stage_cfg(cfg, delta1))
     alpha2 = run2.consensus_value
 
@@ -163,8 +165,8 @@ def polynomial_term_pipeline(
         raise ValueError("polynomial exponents must be >= 0")
     degrees = [float(d) for d in g.degrees]
 
-    bound = engine.distributed_step_bound(g, y, k)
     w = engine.neighbor_weight_sums(g, y, k)
+    bound = engine.distributed_step_bound(g, w)
     run1 = engine.wac_run(g, [v**l for v in y], w, _stage_cfg(cfg, bound))
     alpha1 = run1.consensus_value
 

@@ -6,6 +6,8 @@ import pytest
 from linkmetrics import cli
 from linkmetrics.cli import (
     ExperimentConfig,
+    build_parser,
+    config_from_args,
     generate_attributes,
     generate_synthetic,
     main,
@@ -64,6 +66,12 @@ class TestGenerateAttributes:
         g = generate_synthetic(50, 0.1, 5)
         assert all(v > 0 for v in generate_attributes(g, 5.0, 2))
 
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_nonfinite_mean_rejected(self, mean):
+        g = generate_synthetic(50, 0.1, 5)
+        with pytest.raises(ValueError, match="finite"):
+            generate_attributes(g, mean, 2)
+
 
 class TestParseAttributeFile:
     def test_maps_original_ids(self):
@@ -86,6 +94,14 @@ class TestParseAttributeFile:
         g = parse_edge_list("0 1")
         with pytest.raises(ValueError):
             parse_attribute_file("0 1.0\n0 2.0\n1 1.0", g)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_rejected(self, value):
+        from linkmetrics.graph import parse_edge_list
+
+        g = parse_edge_list("0 1")
+        with pytest.raises(ValueError, match="finite"):
+            parse_attribute_file(f"0 1.0\n1 {value}", g)
 
 
 class TestRunExperiment:
@@ -187,6 +203,72 @@ class TestRunExperiment:
             entry = summary["spectral"][stage]
             assert entry["lambda1"] == pytest.approx(1.0, abs=1e-9)
             assert 0.0 <= entry["rho"] < 1.0
+
+    def test_infinite_attribute_exits_1(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(TRIANGLE_EDGES)
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("0 1.0\n1 inf\n2 3.0\n")
+        out = tmp_path / "o"
+        assert main(["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)]) == 1
+        assert not (out / "summary.json").exists()
+
+    def test_poly_shift_rejected(self, triangle_files, tmp_path):
+        edges, attrs = triangle_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 1 1.0\n")
+        code = main([
+            "--edges", str(edges), "--attrs", str(attrs),
+            "--metric", "poly", "--spec", str(spec),
+            "--shift", "10", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+
+    @pytest.mark.parametrize("shift", [math.inf, math.nan, 0.0])
+    def test_shift_must_be_positive_and_finite(self, shift):
+        with pytest.raises(ValueError, match="--shift"):
+            ExperimentConfig(edges_path="x", attrs_path="y", shift=shift).validate()
+
+    def test_poly_analyze_reports_every_stage(self, triangle_files, tmp_path):
+        edges, attrs = triangle_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 1 1.0\n2 0 1.0\n")
+        out = tmp_path / "out"
+        code = main([
+            "--edges", str(edges), "--attrs", str(attrs),
+            "--metric", "poly", "--spec", str(spec),
+            "--analyze", "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        names = [s["stage"] for s in summary["stages"]]
+        assert names == [
+            "term_1_1_stage1", "term_1_1_stage2", "term_2_0_stage1", "term_2_0_stage2",
+        ]
+        assert list(summary["spectral"]) == names
+        for stage in summary["stages"]:
+            entry = summary["spectral"][stage["stage"]]
+            assert entry["epsilon"] == stage["epsilon"]
+            assert entry["lambda1"] == pytest.approx(1.0, abs=1e-9)
+            assert 0.0 <= entry["rho"] < 1.0
+
+    def test_absent_flags_keep_config_defaults(self):
+        args = build_parser().parse_args(["--edges", "e.txt", "--attrs", "a.txt"])
+        assert config_from_args(args) == ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")
+
+    def test_flags_map_to_config_fields(self):
+        args = build_parser().parse_args([
+            "--er", "30", "0.2", "--seed", "9", "--exp-mean", "5", "--metric", "poly",
+            "--spec", "s.txt", "--eps-frac", "0.5", "--epsilon", "0.1", "--shift", "2",
+            "--analyze", "--oracle", "--out", "d", "--allow-unstable-epsilon",
+            "--max-iters", "7", "--tol-step", "1e-9", "--tol-spread", "1e-8", "--no-traces",
+        ])
+        assert config_from_args(args) == ExperimentConfig(
+            er_n=30, er_p=0.2, seed=9, exp_mean=5.0, metric="poly", spec_path="s.txt",
+            eps_fraction=0.5, epsilon=0.1, shift=2.0, analyze=True, with_oracle=True,
+            out_dir="d", allow_unstable_epsilon=True, max_iterations=7,
+            step_tolerance=1e-9, spread_tolerance=1e-8, write_traces=False,
+        )
 
     def test_conflicting_sources_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,13 @@ from linkmetrics.rng import SplitMix64
 from helpers import complete, cycle, er_instance, path, star, triangle
 
 
+class TestConsensusConfig:
+    @pytest.mark.parametrize("name", ["step_tolerance", "spread_tolerance"])
+    def test_nan_tolerance_rejected(self, name):
+        with pytest.raises(ConfigurationError):
+            ConsensusConfig(**{name: math.nan})
+
+
 class TestMaxStepSize:
     def test_degree_weights_give_unit_bound(self):
         g = triangle()
@@ -40,6 +47,11 @@ class TestMaxStepSize:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             max_step_size([1.0, 0.0, 1.0], triangle())
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            max_step_size([1.0, bad, 1.0], triangle())
 
 
 class TestNeighborWeightSums:
@@ -122,6 +134,26 @@ class TestWacRun:
         assert run.iterations_used == 1
         assert not run.converged
         assert math.isnan(run.trace[1][0]) and run.trace[1][1] == math.inf
+
+    def test_all_infinite_start_never_converges(self):
+        # Every step is nan and skipped, so the residual reads 0.0; the nan
+        # consensus value must still keep the run unconverged.
+        run = wac_run(path(3), [math.inf] * 3, [2.0] * 3, ConsensusConfig(epsilon=0.5))
+        assert run.residual_trace == [0.0]
+        assert math.isnan(run.consensus_value)
+        assert not run.converged
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        cfg = ConsensusConfig(epsilon=epsilon, allow_unstable_epsilon=True)
+        with pytest.raises(ConfigurationError):
+            wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3, cfg)
+
+    def test_run_records_its_weights(self):
+        w = [5.0, 4.0, 3.0]
+        run = wac_run(triangle(), [1.0, 2.0, 3.0], w)
+        assert run.weights == w
+        assert run.max_step_bound == max_step_size(w, triangle())
 
     def test_disconnected_rejected(self):
         g = from_edges(4, [(0, 1), (2, 3)])

@@ -42,6 +42,11 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             parse_metric_spec("1 1\n")
 
+    @pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf"])
+    def test_nonfinite_coefficient_rejected(self, coefficient):
+        with pytest.raises(ValueError, match="finite"):
+            parse_metric_spec(f"2 0 1.0\n1 1 {coefficient}\n")
+
 
 class TestTotalVariationPipeline:
     def test_triangle_fixture(self):
