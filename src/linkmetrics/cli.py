@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import engine, graph as graphmod, metrics, oracle, spectral
 from .engine import ConsensusConfig, ConsensusRun
 from .graph import Graph
@@ -23,6 +25,8 @@ from .rng import SplitMix64, derive_seed
 
 _GRAPH_STREAM = 0
 _ATTR_STREAM = 1
+# Draws per block in generate_synthetic, so its temporaries stay O(n).
+_PAIR_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -33,19 +37,25 @@ def generate_synthetic(n: int, p: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi G(n, p), reduced to its largest component.
 
     Pair (i, j) draws run in lexicographic order off the pinned SplitMix64
-    stream, so identical seeds reproduce identical graphs everywhere.
+    stream, so identical seeds reproduce identical graphs everywhere. The
+    uniforms are drawn in blocks of `_PAIR_BLOCK` flat pair indices, each
+    the value `SplitMix64.random` would return for that pair.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
     rng = SplitMix64(derive_seed(seed, _GRAPH_STREAM))
-    edges = [
-        (i, j)
-        for i in range(n - 1)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
+    rows = np.arange(n - 1)
+    # Flat index of pair (i, i + 1): rows 0..i-1 hold the pairs before it.
+    start = rows * (n - 1) - rows * (rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    edges: list[tuple[int, int]] = []
+    for lo in range(0, pairs, _PAIR_BLOCK):
+        z = rng.uint64_block(min(_PAIR_BLOCK, pairs - lo))
+        f = lo + np.flatnonzero((z >> np.uint64(11)) * (1.0 / (1 << 53)) < p)
+        i = np.searchsorted(start, f, side="right") - 1
+        edges += zip(i.tolist(), (f - start[i] + i + 1).tolist())
     if not edges:
         raise ValueError("generated graph has no edges; raise p or n")
     g = graphmod.largest_connected_component(graphmod.from_edges(n, edges))
@@ -127,11 +137,13 @@ def _to_json(obj, indent: int = 0) -> str:
 
 
 def _write_trace_csv(path: Path, trace: list[list[float]]) -> None:
+    """One 'iteration,node_id,state' row per node and iteration, with the
+    state as repr(); each iteration is one %-substitution of a template."""
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write("iteration,node_id,state\n")
+        template = "".join(f"@,{node},%r\n" for node in range(len(trace[0])))
         for it, states in enumerate(trace):
-            for node, state in enumerate(states):
-                f.write(f"{it},{node},{state!r}\n")
+            f.write(template.replace("@", str(it)) % tuple(states))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,6 +90,26 @@ def max_step_size(w: Sequence[float], g: Graph) -> float:
     return min(wi / di for wi, di in zip(w, g.degrees))
 
 
+def node_powers(
+    y: Sequence[float], k: int, power: Callable[[float, int], float] = pow
+) -> list[float]:
+    """power(y_i, k) for every node i: the y_i**k a stage takes as input.
+
+    A power that overflows or is not finite raises ValueError naming the
+    node and the exponent; one that underflows to 0.0 is kept.
+    """
+    out = []
+    for i, v in enumerate(y):
+        try:
+            p = power(v, k)
+        except OverflowError:
+            p = math.inf
+        if not math.isfinite(p):
+            raise ValueError(f"node {i}: attribute {v!r} to the power {k} is not finite")
+        out.append(p)
+    return out
+
+
 def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> list[float]:
     """w_i = sum over neighbors j of y_j**k, in ascending neighbor order."""
     if k < 0:
@@ -97,11 +117,12 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> list[float]:
     validate_positive(y, "y")
     if any(d == 0 for d in g.degrees):
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
+    yk = node_powers(y, k)
     out = []
     for nbrs in g.adjacency:
         acc = 0.0
         for j in nbrs:
-            acc += y[j] ** k
+            acc += yk[j]
         out.append(acc)
     return out
 

@@ -124,7 +124,9 @@ def total_variation_pipeline(
     engine.validate_positive(y, "y")
     degrees = [float(d) for d in g.degrees]
 
-    run1 = engine.wac_run(g, [v * v for v in y], degrees, _stage_cfg(cfg, 1.0))
+    # v * v is correctly rounded; libm's pow(v, 2) is not always.
+    squares = engine.node_powers(y, 2, lambda v, _: v * v)
+    run1 = engine.wac_run(g, squares, degrees, _stage_cfg(cfg, 1.0))
     alpha1 = run1.consensus_value
 
     w1 = engine.neighbor_weight_sums(g, y, 1)
@@ -167,10 +169,10 @@ def polynomial_term_pipeline(
 
     w = engine.neighbor_weight_sums(g, y, k)
     bound = engine.distributed_step_bound(g, w)
-    run1 = engine.wac_run(g, [v**l for v in y], w, _stage_cfg(cfg, bound))
+    run1 = engine.wac_run(g, engine.node_powers(y, l), w, _stage_cfg(cfg, bound))
     alpha1 = run1.consensus_value
 
-    run2 = engine.wac_run(g, [v**k for v in y], degrees, _stage_cfg(cfg, 1.0))
+    run2 = engine.wac_run(g, engine.node_powers(y, k), degrees, _stage_cfg(cfg, 1.0))
     alpha2 = run2.consensus_value
 
     return PolyTermResult(

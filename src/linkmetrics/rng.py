@@ -6,14 +6,23 @@ across language ports. Reference outputs for seed 0:
 
 Uniform doubles take the top 53 bits; exponentials use inverse-transform
 sampling, so the whole generation chain is pinned too.
+
+The k-th output is a pure function of seed + k * gamma (Steele, Lea &
+Flood 2014), so `uint64_block` computes a run of outputs as one uint64
+array, bit-identical to as many `next_uint64` calls; the scalar methods
+stay as the reference form.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1F4EE2B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -23,9 +32,28 @@ class SplitMix64:
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1F4EE2B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
+
+    def uint64_block(self, k: int) -> np.ndarray:
+        """The next k outputs as a uint64 array, in wrapping arithmetic.
+
+        The stream then continues as if `next_uint64` had been called k
+        times.
+        """
+        if k < 0:
+            raise ValueError("block length must be >= 0")
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""

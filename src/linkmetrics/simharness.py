@@ -11,6 +11,7 @@ ascending neighbor-id order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from . import engine
@@ -67,27 +68,34 @@ def run_synchronous(
         states.append(state)
         outgoing.append(msg)
 
-    snapshots = [list(states)]
-    pairs: set[tuple[int, int]] = set()
+    # inboxes[i](outgoing) is node i's inbox: its neighbors' messages as a
+    # tuple, in adjacency order.
+    inboxes = [_inbox_getter(nbrs) for nbrs in g.adjacency]
+    snapshots = [states]
     rounds = 0
     for _ in range(max_rounds):
-        if all(prog.halted(s) for s in states):
+        if all(map(prog.halted, states)):
             break
-        new_states: list[Any] = []
-        new_outgoing: list[Any] = []
-        for i in range(g.node_count):
-            inbox = tuple(outgoing[j] for j in g.adjacency[i])
-            for j in g.adjacency[i]:
-                pairs.add((j, i))
-            state, msg = prog.on_round(states[i], inbox)
-            new_states.append(state)
-            new_outgoing.append(msg)
-        states = new_states
-        outgoing = new_outgoing
+        results = [prog.on_round(s, inbox(outgoing)) for s, inbox in zip(states, inboxes)]
+        states = [state for state, _ in results]
+        outgoing = [msg for _, msg in results]
         rounds += 1
-        snapshots.append(list(states))
+        snapshots.append(states)
 
+    # Every round delivers along the same edges: the inboxes' adjacency.
+    pairs = {(j, i) for i, nbrs in enumerate(g.adjacency) for j in nbrs} if rounds else set()
     return HarnessTrace(states=snapshots, rounds_executed=rounds, message_pairs=pairs)
+
+
+def _inbox_getter(nbrs: Sequence[int]) -> Callable[[list[Any]], tuple[Any, ...]]:
+    """The messages of `nbrs` as a tuple; itemgetter of one index would
+    return the bare message, and of none cannot be built."""
+    if not nbrs:
+        return lambda outgoing: ()
+    if len(nbrs) == 1:
+        (j,) = nbrs
+        return lambda outgoing: (outgoing[j],)
+    return itemgetter(*nbrs)
 
 
 def make_wac_program(w: Sequence[float], epsilon: float) -> NodeProgram:

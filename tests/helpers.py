@@ -1,10 +1,12 @@
-"""Shared test fixtures: canned graphs and seeded random instances."""
+"""Shared test fixtures: canned graphs, seeded random instances, and the
+plain-loop reference forms that faster code is pinned against."""
 
 from __future__ import annotations
 
 from linkmetrics import cli
-from linkmetrics.graph import Graph, from_edges
-from linkmetrics.rng import SplitMix64
+from linkmetrics.graph import Graph, from_edges, largest_connected_component
+from linkmetrics.rng import SplitMix64, derive_seed
+from linkmetrics.simharness import HarnessTrace
 
 
 def triangle() -> Graph:
@@ -70,3 +72,39 @@ def block_edge_count(g: Graph) -> Graph:
     for name in ("node_count", "adjacency", "degrees", "original_ids"):
         object.__setattr__(blocked, name, getattr(g, name))
     return blocked
+
+
+def reference_generate_synthetic(n: int, p: float, seed: int) -> Graph:
+    """cli.generate_synthetic as one scalar SplitMix64.random() draw per
+    pair (i, j), in lexicographic order."""
+    rng = SplitMix64(derive_seed(seed, 0))
+    edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n) if rng.random() < p]
+    return largest_connected_component(from_edges(n, edges))
+
+
+def reference_run_synchronous(g: Graph, prog, inputs, max_rounds: int) -> HarnessTrace:
+    """simharness.run_synchronous as a plain loop: each round builds every
+    inbox and logs every delivered (sender, receiver) pair."""
+    states, outgoing = [], []
+    for i in range(g.node_count):
+        state, msg = prog.init(i, g.degrees[i], inputs[i])
+        states.append(state)
+        outgoing.append(msg)
+    snapshots = [list(states)]
+    pairs: set[tuple[int, int]] = set()
+    rounds = 0
+    for _ in range(max_rounds):
+        if all(prog.halted(s) for s in states):
+            break
+        new_states, new_outgoing = [], []
+        for i in range(g.node_count):
+            inbox = tuple(outgoing[j] for j in g.adjacency[i])
+            for j in g.adjacency[i]:
+                pairs.add((j, i))
+            state, msg = prog.on_round(states[i], inbox)
+            new_states.append(state)
+            new_outgoing.append(msg)
+        states, outgoing = new_states, new_outgoing
+        rounds += 1
+        snapshots.append(list(states))
+    return HarnessTrace(states=snapshots, rounds_executed=rounds, message_pairs=pairs)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -15,6 +16,8 @@ from linkmetrics.cli import (
     run_experiment,
 )
 from linkmetrics.graph import is_connected
+
+from helpers import reference_generate_synthetic
 
 TRIANGLE_EDGES = "0 1\n1 2\n0 2\n"
 TRIANGLE_ATTRS = "0 1.0\n1 2.0\n2 3.0\n"
@@ -47,6 +50,24 @@ class TestGenerateSynthetic:
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic(10, 0.0, 1)
+
+    def test_p_too_small_gives_no_edges(self):
+        with pytest.raises(ValueError, match="no edges"):
+            generate_synthetic(10, 1e-12, 1)
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(5, 1.0, 123), (100, 0.05, 7), (200, 0.025, 42), (520, 4 / 519, 77)]
+    )
+    def test_equals_per_pair_reference(self, n, p, seed):
+        assert generate_synthetic(n, p, seed) == reference_generate_synthetic(n, p, seed)
+
+    def test_er_tv_instance_pinned(self):
+        # The benchmark's er-tv graph; the digest was taken from the
+        # per-pair generator.
+        g = generate_synthetic(1000, 0.005, 42)
+        assert (g.node_count, g.edge_count) == (989, 2422)
+        digest = hashlib.sha256(repr(list(g.edges())).encode()).hexdigest()
+        assert digest == "f752eb3ed9e76d10f4ceb2757c7fe7ae3dd63aad4daf937b6acb511fa40aacf8"
 
 
 class TestGenerateAttributes:
@@ -102,6 +123,20 @@ class TestParseAttributeFile:
         g = parse_edge_list("0 1")
         with pytest.raises(ValueError, match="finite"):
             parse_attribute_file(f"0 1.0\n1 {value}", g)
+
+
+class TestWriteTraceCsv:
+    def test_bytes_match_one_formatted_row_per_state(self, tmp_path):
+        specials = [1.0, -0.0, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2, -7e22]
+        trace = [[specials[(it + node) % len(specials)] for node in range(11)] for it in range(12)]
+        path = tmp_path / "trace.csv"
+        cli._write_trace_csv(path, trace)
+        rows = "".join(
+            f"{it},{node},{state!r}\n"
+            for it, states in enumerate(trace)
+            for node, state in enumerate(states)
+        )
+        assert path.read_bytes() == ("iteration,node_id,state\n" + rows).encode()
 
 
 class TestRunExperiment:
@@ -212,6 +247,32 @@ class TestRunExperiment:
         out = tmp_path / "o"
         assert main(["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)]) == 1
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("metric", [["--metric", "tv"], ["--metric", "poly"]])
+    def test_overflowing_attribute_power_exits_1(self, tmp_path, capsys, metric):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(TRIANGLE_EDGES)
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("0 1e200\n1 2.0\n2 3.0\n")
+        spec = tmp_path / "spec.txt"
+        spec.write_text("0 2 1.0\n")
+        out = tmp_path / "o"
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)] + metric
+        if metric[1] == "poly":
+            argv += ["--spec", str(spec)]
+        assert main(argv) == 1
+        assert "node 0" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_underflowing_attribute_power_runs(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(TRIANGLE_EDGES)
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("0 1e-170\n1 2.0\n2 3.0\n")
+        out = tmp_path / "o"
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--no-traces", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "summary.json").exists()
 
     def test_poly_shift_rejected(self, triangle_files, tmp_path):
         edges, attrs = triangle_files

@@ -13,6 +13,7 @@ from linkmetrics.engine import (
     max_step_size,
     min_consensus,
     neighbor_weight_sums,
+    node_powers,
     wac_run,
 )
 from linkmetrics.graph import DisconnectedGraphError, diameter, from_edges
@@ -68,6 +69,27 @@ class TestNeighborWeightSums:
     def test_isolated_node_rejected(self):
         with pytest.raises(IsolatedNodeError):
             neighbor_weight_sums(from_edges(3, [(0, 1)]), [1.0, 1.0, 1.0], 1)
+
+
+class TestNodePowers:
+    def test_powers(self):
+        assert node_powers([2.0, 3.0, 0.5], 3) == [8.0, 27.0, 0.125]
+
+    def test_overflow_names_node_and_exponent(self):
+        with pytest.raises(ValueError, match=r"node 1: .*1e\+200.* power 2\b"):
+            node_powers([2.0, 1e200, 3.0], 2)
+
+    def test_nonfinite_result_of_given_power_rejected(self):
+        # v * v overflows to inf without raising.
+        with pytest.raises(ValueError, match="node 0"):
+            node_powers([1e200], 2, lambda v, _: v * v)
+
+    def test_underflow_to_zero_kept(self):
+        assert node_powers([1e-170, 2.0], 2) == [0.0, 4.0]
+
+    def test_neighbor_sum_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="power 2"):
+            neighbor_weight_sums(triangle(), [1e200, 2.0, 3.0], 2)
 
 
 class TestExactConsensusTarget:

@@ -85,6 +85,10 @@ class TestTotalVariationPipeline:
         r = total_variation_pipeline(g, y)
         assert r.total_variation >= -1e-9
 
+    def test_overflowing_square_rejected(self):
+        with pytest.raises(ValueError, match="node 2: .* power 2"):
+            total_variation_pipeline(triangle(), [1.0, 2.0, 1e200])
+
     def test_stages_never_read_edge_count(self):
         g, y = er_instance(4, n_lo=15, n_hi=30)
         blocked = block_edge_count(g)
@@ -109,6 +113,11 @@ class TestPolynomialTermPipeline:
     def test_zero_coefficient(self):
         t = polynomial_term_pipeline(triangle(), [1.0, 2.0, 3.0], 2, 1, 0.0)
         assert t.h_lk == 0.0
+
+    @pytest.mark.parametrize("l, k", [(2, 0), (0, 2)])
+    def test_overflowing_power_rejected(self, l, k):
+        with pytest.raises(ValueError, match="node 0"):
+            polynomial_term_pipeline(triangle(), [1e200, 2.0, 3.0], l, k, 1.0)
 
 
 class TestPolynomialMetric:

@@ -10,7 +10,15 @@ from linkmetrics.simharness import (
     run_synchronous,
 )
 
-from helpers import complete, er_instance, path, preferential_attachment, star, triangle
+from helpers import (
+    complete,
+    er_instance,
+    path,
+    preferential_attachment,
+    reference_run_synchronous,
+    star,
+    triangle,
+)
 
 
 def directed_edge_pairs(g):
@@ -74,6 +82,39 @@ class TestRunSynchronous:
         prog = make_wac_program([2.0] * 3, 0.5)
         trace = run_synchronous(g, prog, [1.0, 2.0, 3.0], max_rounds=7)
         assert len(trace.states) == trace.rounds_executed + 1
+
+
+class TestMatchesReferenceLoop:
+    """run_synchronous against the plain per-round loop of helpers."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [path(2), path(7), star(9), complete(6), from_edges(4, [(0, 1), (1, 2)])],
+        ids=["path2", "path7", "star9", "complete6", "isolated-node"],
+    )
+    @pytest.mark.parametrize("max_rounds", [1, 3, 40])
+    def test_wac_and_min_programs(self, g, max_rounds):
+        y = [1.0 + (7 * i % 11) / 3.0 for i in range(g.node_count)]
+        for prog in (make_wac_program([2.0] * g.node_count, 0.3), make_min_program()):
+            fast = run_synchronous(g, prog, y, max_rounds)
+            ref = reference_run_synchronous(g, prog, y, max_rounds)
+            assert fast == ref
+
+    def test_min_program_halting_early(self):
+        g, y = er_instance(4, n_lo=20, n_hi=40)
+        fast = run_synchronous(g, make_min_program(), y, 100)
+        assert fast.rounds_executed < 100
+        assert fast == reference_run_synchronous(g, make_min_program(), y, 100)
+
+    def test_no_round_runs(self):
+        prog = NodeProgram(
+            init=lambda i, d, x: (x, x),
+            on_round=lambda s, msgs: (s, s),
+            halted=lambda s: True,
+        )
+        fast = run_synchronous(triangle(), prog, [1.0, 2.0, 3.0], 10)
+        assert fast == reference_run_synchronous(triangle(), prog, [1.0, 2.0, 3.0], 10)
+        assert fast.message_pairs == set()
 
 
 class TestWacProgram:
