@@ -224,7 +224,7 @@ def _run_metric(
         key = f"term_{t.l}_{t.k}"
         alphas[key] = {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
         stages += [(f"{key}_stage{i}", run) for i, run in enumerate(t.runs, 1)]
-    return math.fsum(t.h_lk for t in terms), alphas, stages
+    return metrics.polynomial_metric_value(terms), alphas, stages
 
 
 def _stage_entries(stages: Stages, out: Path) -> list[dict]:

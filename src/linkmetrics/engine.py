@@ -12,7 +12,7 @@ the two give bit-identical traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,9 +54,6 @@ class ConsensusConfig:
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
 
-    def with_epsilon(self, epsilon: float) -> "ConsensusConfig":
-        return replace(self, epsilon=epsilon)
-
 
 @dataclass
 class ConsensusRun:
@@ -81,13 +78,17 @@ def validate_positive(values: Sequence[float], name: str) -> None:
 
 
 def max_step_size(w: Sequence[float], g: Graph) -> float:
-    """Stability bound Delta = min_i w_i / d_i."""
+    """Stability bound Delta = min_i w_i / d_i, agreed by min-consensus
+    from each node's own w_i / d_i within N - 1 rounds, which bound the
+    diameter; a disconnected graph raises DisconnectedGraphError."""
     if any(d == 0 for d in g.degrees):
         raise IsolatedNodeError("graph has an isolated node")
     validate_positive(w, "w")
     if len(w) != g.node_count:
         raise ConfigurationError("weight vector length mismatch")
-    return min(wi / di for wi, di in zip(w, g.degrees))
+    x0 = [wi / di for wi, di in zip(w, g.degrees)]
+    states, _ = min_consensus(g, x0, max(1, g.node_count - 1))
+    return states[0]
 
 
 def node_powers(
@@ -181,11 +182,12 @@ def wac_run(
 ) -> ConsensusRun:
     """Run the weighted-average-consensus iteration to the stopping rule.
 
-    Stops when the max per-node step drops below `step_tolerance`, the
-    state spread drops below `spread_tolerance`, or `max_iterations` is
-    hit (converged=False). Runs that blow up to non-finite values abort
-    early as unconverged, and a run whose consensus value is not finite
-    never counts as converged.
+    The step bound Delta comes from `max_step_size` and the step size from
+    `resolve_epsilon`. Stops when the max per-node step drops below
+    `step_tolerance`, the state spread drops below `spread_tolerance`, or
+    `max_iterations` is hit (converged=False). Runs that blow up to
+    non-finite values abort early as unconverged, and a run whose
+    consensus value is not finite never counts as converged.
 
     Each round sweeps the columns of `_column_sweep_layout`, so every node
     sums x_j - x_i from 0.0 in ascending neighbor-id order, as
@@ -194,8 +196,6 @@ def wac_run(
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
         raise ConfigurationError("x0/w length must equal node count")
-    if not graphmod.is_connected(g):
-        raise DisconnectedGraphError("wac_run requires a connected graph")
     delta = max_step_size(w, g)
     eps = resolve_epsilon(cfg, delta)
 
@@ -238,7 +238,12 @@ def wac_run(
             )
 
     final = x[pos].tolist()
-    value = math.fsum(final) / len(final) if all(map(math.isfinite, final)) else math.nan
+    value = math.nan
+    if all(map(math.isfinite, final)):
+        try:
+            value = math.fsum(final) / len(final)
+        except OverflowError:  # the sum leaves the float range, the mean need not
+            value = math.fsum(v / len(final) for v in final)
     return ConsensusRun(
         final_states=final,
         iterations_used=iterations,
@@ -285,12 +290,4 @@ def min_consensus(
 
 def distributed_delta1(g: Graph, y: Sequence[float]) -> float:
     """WAC1 step bound via min-consensus over local neighbor averages."""
-    return distributed_step_bound(g, neighbor_weight_sums(g, y, 1))
-
-
-def distributed_step_bound(g: Graph, w: Sequence[float]) -> float:
-    """Stability bound min_i w_i / d_i, agreed via min-consensus."""
-    x0 = [wi / d for wi, d in zip(w, g.degrees)]
-    # N - 1 bounds the diameter; min_consensus stops once a round changes nothing.
-    states, _ = min_consensus(g, x0, max(1, g.node_count - 1))
-    return states[0]
+    return max_step_size(neighbor_weight_sums(g, y, 1), g)

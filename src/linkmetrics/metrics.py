@@ -1,18 +1,20 @@
 """Multi-stage consensus pipelines for link-based network metrics.
 
-Total variation of a node signal over the edge set is computed with three
-sequential weighted-average-consensus stages; an arbitrary sparse
-polynomial of pair-wise attributes is computed term by term with two
-stages each. All per-node quantities fed into a stage are strictly local
-(own degree, own attribute powers, neighbor attribute sums); neither the
-edge count nor any other global aggregate enters a stage.
+Every stage is one weighted-average-consensus run S(l, k): node i starts
+from y_i**l with weight w_i = sum over neighbors j of y_j**k (its degree
+for k = 0), and `engine.wac_run` agrees the step bound min_i w_i/d_i by
+min-consensus. Total variation is S(2,0), S(1,1), S(1,0); each term
+(l, k) of a sparse polynomial of pair-wise attributes is S(l,k), S(k,0).
+Every per-node stage input is strictly local (own degree, own attribute
+powers, neighbor attribute sums); neither the edge count nor any other
+global aggregate enters a stage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import engine
 from .engine import ConsensusConfig, ConsensusRun
@@ -72,8 +74,12 @@ class TVResult:
     alpha2: float
     alpha3: float
     total_variation: float
-    delta1: float
     runs: tuple[ConsensusRun, ConsensusRun, ConsensusRun]
+
+    @property
+    def delta1(self) -> float:
+        """Step bound of stage 2 (WAC1), the one an attribute shift enlarges."""
+        return self.runs[1].max_step_bound
 
     @property
     def converged(self) -> bool:
@@ -102,12 +108,24 @@ def shift_attributes(y: Sequence[float], c: float) -> list[float]:
     return [v + c for v in y]
 
 
-def _stage_cfg(cfg: ConsensusConfig, bound: float) -> ConsensusConfig:
-    # Explicit epsilon applies verbatim to every stage; otherwise each
-    # stage takes its fraction of its own stability bound.
-    if cfg.epsilon is not None:
-        return cfg
-    return cfg.with_epsilon(cfg.epsilon_fraction * bound)
+def _stage(
+    g: Graph, y: Sequence[float], l: int, k: int, cfg: ConsensusConfig | None,
+    power: Callable[[float, int], float] = pow,
+) -> ConsensusRun:
+    """Stage S(l, k): states power(y_i, l), weights the neighbor sums of y_j**k."""
+    w = engine.neighbor_weight_sums(g, y, k)  # validates y
+    x0 = engine.node_powers(y, l, power)
+    # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
+    if not math.isfinite(max(g.degrees) * max(x0)):
+        raise ValueError(f"stage S({l},{k}): largest degree times largest y**{l} overflows")
+    return engine.wac_run(g, x0, w, cfg)
+
+
+def _finite(value: float, alphas: Sequence[float], name: str) -> float:
+    """`value`, unless it overflows although every stage value is finite."""
+    if not math.isfinite(value) and all(map(math.isfinite, alphas)):
+        raise ValueError(f"{name} overflows to {value} from finite stage values")
+    return value
 
 
 def total_variation_pipeline(
@@ -115,36 +133,20 @@ def total_variation_pipeline(
 ) -> TVResult:
     """Three-stage consensus computation of the total variation.
 
-    Stage 1: degree weights, squared attributes. Stage 2 (WAC1): neighbor
-    attribute sums as weights, attributes as states, with the step bound
-    agreed by min-consensus. Stage 3 (WAC2): degree weights, attributes.
-    The metric is 2*alpha1 - 2*alpha2*alpha3.
+    Stage 1 S(2,0): squared attributes, degree weights. Stage 2 (WAC1)
+    S(1,1): attributes, neighbor attribute sums as weights. Stage 3 (WAC2)
+    S(1,0): attributes, degree weights. The metric is
+    2*alpha1 - 2*alpha2*alpha3.
     """
-    cfg = cfg or ConsensusConfig()
-    engine.validate_positive(y, "y")
-    degrees = [float(d) for d in g.degrees]
-
-    # v * v is correctly rounded; libm's pow(v, 2) is not always.
-    squares = engine.node_powers(y, 2, lambda v, _: v * v)
-    run1 = engine.wac_run(g, squares, degrees, _stage_cfg(cfg, 1.0))
-    alpha1 = run1.consensus_value
-
-    w1 = engine.neighbor_weight_sums(g, y, 1)
-    delta1 = engine.distributed_step_bound(g, w1)
-    run2 = engine.wac_run(g, list(y), w1, _stage_cfg(cfg, delta1))
-    alpha2 = run2.consensus_value
-
-    run3 = engine.wac_run(g, list(y), degrees, _stage_cfg(cfg, 1.0))
-    alpha3 = run3.consensus_value
-
-    return TVResult(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        alpha3=alpha3,
-        total_variation=2.0 * alpha1 - 2.0 * alpha2 * alpha3,
-        delta1=delta1,
-        runs=(run1, run2, run3),
+    runs = (
+        # v * v is correctly rounded; libm's pow(v, 2) is not always.
+        _stage(g, y, 2, 0, cfg, power=lambda v, _: v * v),
+        _stage(g, y, 1, 1, cfg),
+        _stage(g, y, 1, 0, cfg),
     )
+    a1, a2, a3 = alphas = [r.consensus_value for r in runs]
+    tv = _finite(2.0 * a1 - 2.0 * a2 * a3, alphas, "total variation")
+    return TVResult(a1, a2, a3, tv, runs)
 
 
 def polynomial_term_pipeline(
@@ -155,35 +157,18 @@ def polynomial_term_pipeline(
     c_lk: float,
     cfg: ConsensusConfig | None = None,
 ) -> PolyTermResult:
-    """Two-stage consensus computation of one polynomial term.
+    """Two-stage consensus computation of one polynomial term: S(l,k), S(k,0).
 
     The term value follows the edge-averaged convention
     h_lk = alpha_1lk * alpha_2lk * c_lk, i.e. the per-edge average with
     f symmetrized over the two edge endpoints.
     """
-    cfg = cfg or ConsensusConfig()
-    engine.validate_positive(y, "y")
     if l < 0 or k < 0:
         raise ValueError("polynomial exponents must be >= 0")
-    degrees = [float(d) for d in g.degrees]
-
-    w = engine.neighbor_weight_sums(g, y, k)
-    bound = engine.distributed_step_bound(g, w)
-    run1 = engine.wac_run(g, engine.node_powers(y, l), w, _stage_cfg(cfg, bound))
-    alpha1 = run1.consensus_value
-
-    run2 = engine.wac_run(g, engine.node_powers(y, k), degrees, _stage_cfg(cfg, 1.0))
-    alpha2 = run2.consensus_value
-
-    return PolyTermResult(
-        l=l,
-        k=k,
-        c_lk=c_lk,
-        alpha_1lk=alpha1,
-        alpha_2lk=alpha2,
-        h_lk=alpha1 * alpha2 * c_lk,
-        runs=(run1, run2),
-    )
+    runs = (_stage(g, y, l, k, cfg), _stage(g, y, k, 0, cfg))
+    a1, a2 = alphas = [r.consensus_value for r in runs]
+    h = _finite(a1 * a2 * c_lk, alphas, f"term ({l},{k})")
+    return PolyTermResult(l, k, c_lk, a1, a2, h, runs)
 
 
 def polynomial_metric_terms(
@@ -196,4 +181,13 @@ def polynomial_metric(
     g: Graph, y: Sequence[float], spec: MetricSpec, cfg: ConsensusConfig | None = None
 ) -> float:
     """Edge-averaged polynomial link metric as the sum of term pipelines."""
-    return math.fsum(t.h_lk for t in polynomial_metric_terms(g, y, spec, cfg))
+    return polynomial_metric_value(polynomial_metric_terms(g, y, spec, cfg))
+
+
+def polynomial_metric_value(terms: Sequence[PolyTermResult]) -> float:
+    """Sum of the term values h_lk; ValueError when the sum overflows."""
+    try:
+        return math.fsum(t.h_lk for t in terms)
+    except OverflowError:
+        msg = "polynomial metric overflows: its terms sum past the float range"
+        raise ValueError(msg) from None

@@ -2,7 +2,8 @@
 
 Everything here walks the edge set directly; no consensus iterations are
 involved. Edge sums use compensated (fsum) accumulation so the reference
-stays trustworthy on large graphs.
+stays trustworthy on large graphs. A sum that overflows the float range
+raises ValueError: the attributes are too large for a reference value.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from .graph import Graph
 from .metrics import MetricSpec
 
 
+def _fsum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError("reference value overflows: attributes too large") from None
+
+
 def exact_total_variation(g: Graph, y: Sequence[float]) -> float:
     """Per-edge average of squared attribute differences."""
     if g.edge_count < 1:
         raise ValueError("total variation needs at least one edge")
-    return math.fsum((y[i] - y[j]) ** 2 for i, j in g.edges()) / g.edge_count
+    return _fsum((y[i] - y[j]) ** 2 for i, j in g.edges()) / g.edge_count
 
 
 def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> float:
@@ -26,7 +34,7 @@ def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> f
     if g.edge_count < 1:
         raise ValueError("polynomial metric needs at least one edge")
     return (
-        math.fsum(
+        _fsum(
             0.5 * (spec.evaluate(y[i], y[j]) + spec.evaluate(y[j], y[i]))
             for i, j in g.edges()
         )
@@ -38,12 +46,12 @@ def exact_alphas(g: Graph, y: Sequence[float]) -> tuple[float, float, float]:
     """Closed-form stage targets (alpha1, alpha2, alpha3) of the TV pipeline."""
     if any(d == 0 for d in g.degrees):
         raise ValueError("alphas undefined with isolated nodes")
-    deg_sum = math.fsum(g.degrees)
-    alpha1 = math.fsum(d * v * v for d, v in zip(g.degrees, y)) / deg_sum
-    cross = math.fsum(
-        y[i] * math.fsum(y[j] for j in g.adjacency[i]) for i in range(g.node_count)
+    deg_sum = _fsum(g.degrees)
+    alpha1 = _fsum(d * v * v for d, v in zip(g.degrees, y)) / deg_sum
+    cross = _fsum(
+        y[i] * _fsum(y[j] for j in g.adjacency[i]) for i in range(g.node_count)
     )
-    weighted_attr_sum = math.fsum(d * v for d, v in zip(g.degrees, y))
+    weighted_attr_sum = _fsum(d * v for d, v in zip(g.degrees, y))
     alpha2 = cross / weighted_attr_sum
     alpha3 = weighted_attr_sum / deg_sum
     return alpha1, alpha2, alpha3

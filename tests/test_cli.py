@@ -264,6 +264,43 @@ class TestRunExperiment:
         assert "node 0" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "edges_text, attrs_text, extra",
+        [
+            # 1.3e154 squared is finite, but a stage-1 neighbor sum is not.
+            (TRIANGLE_EDGES, "0 1.3e154\n1 1e-3\n2 2.0\n", []),
+            (TRIANGLE_EDGES, "0 1.3e154\n1 1e-3\n2 2.0\n", ["--oracle"]),
+            (TRIANGLE_EDGES, "0 1.3e154\n1 1e-3\n2 2.0\n", ["poly", "1 1 1.0\n2 0 1.0\n"]),
+            # The stages run; the reference edge sum leaves the float range.
+            # States near 1e307 never meet the absolute tolerances, hence the cap.
+            (
+                "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)),
+                "".join(f"{i} {1.0 if i % 2 == 0 else 5e153}\n" for i in range(10)),
+                ["--oracle", "--max-iters", "200"],
+            ),
+            # Finite, converged stages whose product overflows.
+            (TRIANGLE_EDGES, "0 1e200\n1 2e200\n2 3e200\n", ["--oracle", "poly", "1 1 1.0\n"]),
+            # Finite terms whose sum overflows.
+            (TRIANGLE_EDGES, "0 1.0\n1 1.0\n2 1.0\n", ["poly", "0 0 1.7e308\n1 0 1e308\n"]),
+        ],
+        ids=["tv-stage", "tv-stage-oracle", "poly-stage", "oracle", "poly-term", "poly-sum"],
+    )
+    def test_overflowing_arithmetic_exits_1(self, tmp_path, capsys, edges_text, attrs_text, extra):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(edges_text)
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text(attrs_text)
+        out = tmp_path / "o"
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--no-traces", "--out", str(out)]
+        if "poly" in extra:
+            spec = tmp_path / "spec.txt"
+            spec.write_text(extra[-1])
+            extra = extra[:-2] + ["--metric", "poly", "--spec", str(spec)]
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert not (out / "summary.json").exists()
+
     def test_underflowing_attribute_power_runs(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text(TRIANGLE_EDGES)

@@ -45,6 +45,10 @@ class TestMaxStepSize:
         with pytest.raises(IsolatedNodeError):
             max_step_size([1.0, 1.0, 1.0], g)
 
+    def test_disconnected_rejected(self):
+        with pytest.raises(DisconnectedGraphError):
+            max_step_size([1.0] * 4, from_edges(4, [(0, 1), (2, 3)]))
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             max_step_size([1.0, 0.0, 1.0], triangle())
@@ -181,6 +185,23 @@ class TestWacRun:
         g = from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             wac_run(g, [1.0] * 4, [1.0] * 4, ConsensusConfig(epsilon=0.5))
+
+    def test_one_connectivity_check_per_run(self, monkeypatch):
+        from linkmetrics import graph
+
+        calls = []
+        real = graph.is_connected
+        monkeypatch.setattr(graph, "is_connected", lambda g: calls.append(g) or real(g))
+        g, y = er_instance(5, n_lo=20, n_hi=20)
+        wac_run(g, y, neighbor_weight_sums(g, y, 1))
+        wac_run(g, y, [float(d) for d in g.degrees])
+        assert len(calls) == 2
+
+    def test_consensus_value_of_states_whose_sum_overflows(self):
+        cfg = ConsensusConfig(max_iterations=5)
+        run = wac_run(path(2), [1e308, 1.5e308], [1.0, 1.0], cfg)
+        assert math.isfinite(run.consensus_value)
+        assert min(run.final_states) <= run.consensus_value <= max(run.final_states)
 
     def test_default_policy_is_09_of_bound(self):
         g = triangle()

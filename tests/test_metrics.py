@@ -2,19 +2,27 @@ import math
 
 import pytest
 
-from linkmetrics import oracle
+from linkmetrics import cli, oracle
 from linkmetrics.engine import ConsensusConfig
 from linkmetrics.metrics import (
     MetricSpec,
     parse_metric_spec,
     polynomial_metric,
+    polynomial_metric_terms,
     polynomial_term_pipeline,
     shift_attributes,
     total_variation_pipeline,
     tv_metric_spec,
 )
 
-from helpers import block_edge_count, cycle, er_instance, path, triangle
+from helpers import (
+    block_edge_count,
+    cycle,
+    er_instance,
+    path,
+    preferential_attachment,
+    triangle,
+)
 
 
 class TestMetricSpec:
@@ -150,6 +158,72 @@ class TestPolynomialMetric:
         blocked = block_edge_count(g)
         got = polynomial_metric(blocked, y, tv_metric_spec())
         assert got == pytest.approx(oracle.exact_total_variation(g, y), rel=1e-6)
+
+
+def _contract_instance(kind, seed):
+    """A seeded ER or preferential-attachment graph with attributes."""
+    if kind == "er":
+        return er_instance(seed, n_lo=20, n_hi=60)
+    g = preferential_attachment(40, 2, seed)
+    return g, cli.generate_attributes(g, 5.0, seed)
+
+
+CONTRACT_CASES = [("er", 2), ("er", 13), ("pa", 3), ("pa", 8)]
+
+
+def _metric_runs(g, y, cfg=None):
+    tv = total_variation_pipeline(g, y, cfg)
+    spec = MetricSpec(terms=((1, 1, 1.0), (2, 0, 1.0), (0, 3, 0.5)))
+    terms = polynomial_metric_terms(g, y, spec, cfg)
+    return tv, [*tv.runs, *(run for t in terms for run in t.runs)]
+
+
+class TestStepSizeContract:
+    """Every stage of both metrics runs at the fraction of its own bound
+    min_i w_i/d_i, or at the explicit epsilon verbatim."""
+
+    @pytest.mark.parametrize("kind, seed", CONTRACT_CASES)
+    def test_default_step_is_fraction_of_stage_bound(self, kind, seed):
+        g, y = _contract_instance(kind, seed)
+        tv, runs = _metric_runs(g, y)
+        assert len(runs) == 9
+        for run in runs:
+            central = min(w / d for w, d in zip(run.weights, g.degrees))
+            assert run.max_step_bound == central
+            assert run.epsilon == 0.9 * run.max_step_bound
+        assert tv.delta1 == tv.runs[1].max_step_bound
+
+    @pytest.mark.parametrize("kind, seed", CONTRACT_CASES)
+    def test_explicit_epsilon_applies_to_every_stage(self, kind, seed):
+        g, y = _contract_instance(kind, seed)
+        _, runs = _metric_runs(g, y)
+        eps = 0.5 * min(run.max_step_bound for run in runs)
+        _, runs = _metric_runs(g, y, ConsensusConfig(epsilon=eps))
+        assert [run.epsilon for run in runs] == [eps] * len(runs)
+
+
+class TestOverflowingStages:
+    def test_stage_arithmetic_overflow_names_stage(self):
+        # 1.3e154 squared is finite, twice it is not.
+        with pytest.raises(ValueError, match=r"S\(2,0\)"):
+            total_variation_pipeline(triangle(), [1.3e154, 1e-3, 2.0])
+
+    def test_finite_alphas_overflowing_total_variation_rejected(self):
+        # On a single edge the squares pass the stage check, but 2*alpha1
+        # overflows. States near 1e308 never meet the absolute tolerances,
+        # so the iteration cap keeps the stages short.
+        cfg = ConsensusConfig(max_iterations=200)
+        with pytest.raises(ValueError, match="total variation overflows"):
+            total_variation_pipeline(path(2), [1e154, 1.2e154], cfg)
+
+    def test_finite_alphas_overflowing_term_rejected(self):
+        with pytest.raises(ValueError, match=r"term \(1,1\) overflows"):
+            polynomial_term_pipeline(triangle(), [1e200, 2e200, 3e200], 1, 1, 1.0)
+
+    def test_overflowing_term_sum_rejected(self):
+        spec = MetricSpec(terms=((0, 0, 1.7e308), (1, 0, 1e308)))
+        with pytest.raises(ValueError, match="polynomial metric overflows"):
+            polynomial_metric(triangle(), [1.0, 1.0, 1.0], spec)
 
 
 class TestShiftAttributes:

@@ -59,3 +59,33 @@ class TestExactAlphas:
         a1, a2, a3 = exact_alphas(g, y)
         tv = exact_total_variation(g, y)
         assert abs(2 * a1 - 2 * a2 * a3 - tv) / max(tv, 1e-300) <= 1e-12
+
+
+class TestOverflow:
+    """A reference sum past the float range is an input error, not an
+    OverflowError out of math.fsum."""
+
+    def _cycle_instance(self):
+        from helpers import cycle
+
+        return cycle(10), [1.0 if i % 2 == 0 else 5e153 for i in range(10)]
+
+    def test_total_variation(self):
+        g, y = self._cycle_instance()
+        with pytest.raises(ValueError, match="overflows"):
+            exact_total_variation(g, y)
+
+    def test_alphas(self):
+        g, y = self._cycle_instance()
+        with pytest.raises(ValueError, match="overflows"):
+            exact_alphas(g, y)
+
+    def test_polynomial_metric(self):
+        g, y = self._cycle_instance()
+        with pytest.raises(ValueError, match="overflows"):
+            exact_polynomial_metric(g, y, tv_metric_spec())
+
+    def test_power_overflow(self):
+        spec = MetricSpec(terms=((3, 0, 1.0),))
+        with pytest.raises(ValueError, match="overflows"):
+            exact_polynomial_metric(triangle(), [1e200, 2.0, 3.0], spec)
