@@ -1,8 +1,9 @@
 """Byte-for-byte guard on what the CLI writes.
 
-tests/golden/<case>/ holds the summary.json and trace CSVs that commit
-75cfdf2 wrote for each case below, before the CLI read every stage from its
-ConsensusRun. A change to what a run computes, to the stage entries or to
+tests/golden/<case>/ holds the summary.json and trace CSVs written for each
+case below: tv_triangle_shift and poly_kite by commit 75cfdf2, before the
+CLI read every stage from its ConsensusRun, and poly_shared by commit
+be510d9, before terms that share a stage shared its run. A change to what a run computes, to the stage entries or to
 the serialization shows up here. --analyze is left out, because its
 eigenvalues depend on the LAPACK build.
 """
@@ -21,10 +22,13 @@ KITE = {
     "attrs": "0 1.5\n1 2.0\n2 0.5\n3 3.0\n4 1.25\n",
     "spec": "# f = u*v + 2*u^2 - 0.5*v^3\n1 1 1.0\n2 0 2.0\n0 3 -0.5\n",
 }
+# Terms (1,1) and (1,0) both use S(1,0); terms (2,0) and (1,0) both use S(0,0).
+KITE_SHARED = {**KITE, "spec": "1 1 1.0\n2 0 1.0\n1 0 1.0\n"}
 
 CASES = {
     "tv_triangle_shift": (TRIANGLE, ["--oracle", "--shift", "10"]),
     "poly_kite": (KITE, ["--metric", "poly", "--oracle"]),
+    "poly_shared": (KITE_SHARED, ["--metric", "poly", "--oracle"]),
 }
 
 
