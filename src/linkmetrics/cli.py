@@ -291,8 +291,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if cfg.analyze:
         summary["spectral"] = {}
+        # The report depends on (w, epsilon) alone; stages that share them share it.
+        reports: dict[tuple, spectral.SpectralReport] = {}
         for name, run in stages:
-            report = spectral.spectral_report(g, run.weights, run.epsilon)
+            key = (tuple(run.weights), run.epsilon)
+            if key not in reports:
+                reports[key] = spectral.spectral_report(g, run.weights, run.epsilon)
+            report = reports[key]
             summary["spectral"][name] = {
                 "epsilon": report.epsilon,
                 "lambda1": report.eigenvalues[0],

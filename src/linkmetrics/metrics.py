@@ -4,7 +4,8 @@ Every stage is one weighted-average-consensus run S(l, k): node i starts
 from y_i**l with weight w_i = sum over neighbors j of y_j**k (its degree
 for k = 0), and `engine.wac_run` agrees the step bound min_i w_i/d_i by
 min-consensus. Total variation is S(2,0), S(1,1), S(1,0); each term
-(l, k) of a sparse polynomial of pair-wise attributes is S(l,k), S(k,0).
+(l, k) of a sparse polynomial of pair-wise attributes is S(l,k), S(k,0),
+and terms that share a stage share its one run.
 Every per-node stage input is strictly local (own degree, own attribute
 powers, neighbor attribute sums); neither the edge count nor any other
 global aggregate enters a stage.
@@ -37,10 +38,6 @@ class MetricSpec:
             if (l, k) in seen:
                 raise ValueError(f"duplicate term ({l},{k})")
             seen.add((l, k))
-
-    @property
-    def max_degree(self) -> int:
-        return max((max(l, k) for l, k, _ in self.terms), default=0)
 
     def evaluate(self, u: float, v: float) -> float:
         return math.fsum(c * u**l * v**k for l, k, c in self.terms)
@@ -157,24 +154,31 @@ def polynomial_term_pipeline(
     c_lk: float,
     cfg: ConsensusConfig | None = None,
 ) -> PolyTermResult:
-    """Two-stage consensus computation of one polynomial term: S(l,k), S(k,0).
-
-    The term value follows the edge-averaged convention
-    h_lk = alpha_1lk * alpha_2lk * c_lk, i.e. the per-edge average with
-    f symmetrized over the two edge endpoints.
-    """
-    if l < 0 or k < 0:
-        raise ValueError("polynomial exponents must be >= 0")
-    runs = (_stage(g, y, l, k, cfg), _stage(g, y, k, 0, cfg))
-    a1, a2 = alphas = [r.consensus_value for r in runs]
-    h = _finite(a1 * a2 * c_lk, alphas, f"term ({l},{k})")
-    return PolyTermResult(l, k, c_lk, a1, a2, h, runs)
+    """Two-stage consensus computation of one polynomial term: S(l,k), S(k,0)."""
+    return polynomial_metric_terms(g, y, MetricSpec(((l, k, c_lk),)), cfg)[0]
 
 
 def polynomial_metric_terms(
     g: Graph, y: Sequence[float], spec: MetricSpec, cfg: ConsensusConfig | None = None
 ) -> list[PolyTermResult]:
-    return [polynomial_term_pipeline(g, y, l, k, c, cfg) for l, k, c in spec.terms]
+    """One result per term (l, k) of `spec`, from stages S(l,k) and S(k,0).
+
+    Each distinct stage runs once, in first-use order, and every term that
+    uses it gets the same ConsensusRun. The term value follows the
+    edge-averaged convention h_lk = alpha_1lk * alpha_2lk * c_lk, i.e. the
+    per-edge average with f symmetrized over the two edge endpoints.
+    """
+    runs: dict[tuple[int, int], ConsensusRun] = {}
+    terms = []
+    for l, k, c in spec.terms:
+        for lk in ((l, k), (k, 0)):
+            if lk not in runs:
+                runs[lk] = _stage(g, y, *lk, cfg)
+        pair = (runs[l, k], runs[k, 0])
+        a1, a2 = alphas = [r.consensus_value for r in pair]
+        h = _finite(a1 * a2 * c, alphas, f"term ({l},{k})")
+        terms.append(PolyTermResult(l, k, c, a1, a2, h, pair))
+    return terms
 
 
 def polynomial_metric(

@@ -2,8 +2,9 @@
 
 Everything here walks the edge set directly; no consensus iterations are
 involved. Edge sums use compensated (fsum) accumulation so the reference
-stays trustworthy on large graphs. A sum that overflows the float range
-raises ValueError: the attributes are too large for a reference value.
+stays trustworthy on large graphs. A sum that overflows the float range,
+or that takes a product which does, raises ValueError: the attributes are
+too large for a reference value.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from .metrics import MetricSpec
 
 
 def _fsum(values) -> float:
+    """math.fsum, or ValueError when the sum or a product in it overflows."""
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except OverflowError:
-        raise ValueError("reference value overflows: attributes too large") from None
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("reference value overflows: attributes too large")
+    return total
 
 
 def exact_total_variation(g: Graph, y: Sequence[float]) -> float:

@@ -3,7 +3,7 @@ plain-loop reference forms that faster code is pinned against."""
 
 from __future__ import annotations
 
-from linkmetrics import cli
+from linkmetrics import cli, metrics
 from linkmetrics.graph import Graph, from_edges, largest_connected_component
 from linkmetrics.rng import SplitMix64, derive_seed
 from linkmetrics.simharness import HarnessTrace
@@ -108,3 +108,14 @@ def reference_run_synchronous(g: Graph, prog, inputs, max_rounds: int) -> Harnes
         rounds += 1
         snapshots.append(list(states))
     return HarnessTrace(states=snapshots, rounds_executed=rounds, message_pairs=pairs)
+
+
+def reference_polynomial_terms(g: Graph, y, spec: metrics.MetricSpec, cfg=None):
+    """metrics.polynomial_metric_terms with no shared stage: every term
+    runs its own S(l,k) and S(k,0)."""
+    terms = []
+    for l, k, c in spec.terms:
+        runs = (metrics._stage(g, y, l, k, cfg), metrics._stage(g, y, k, 0, cfg))
+        a1, a2 = (r.consensus_value for r in runs)
+        terms.append(metrics.PolyTermResult(l, k, c, a1, a2, a1 * a2 * c, runs))
+    return terms

@@ -350,6 +350,31 @@ class TestRunExperiment:
             assert entry["lambda1"] == pytest.approx(1.0, abs=1e-9)
             assert 0.0 <= entry["rho"] < 1.0
 
+    @pytest.mark.parametrize(
+        "spec, reports",
+        [(None, 2), ("1 1 1\n2 0 1\n1 0 1\n", 2)],
+        ids=["tv", "assortativity"],
+    )
+    def test_one_spectral_report_per_weights_and_epsilon(
+        self, spec, reports, triangle_files, tmp_path, monkeypatch
+    ):
+        # Every k = 0 stage runs with w = d and the same epsilon.
+        calls = []
+        real = cli.spectral.spectral_report
+        monkeypatch.setattr(
+            cli.spectral, "spectral_report", lambda *a: calls.append(a) or real(*a)
+        )
+        edges, attrs = triangle_files
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--analyze"]
+        if spec is not None:
+            (tmp_path / "spec.txt").write_text(spec)
+            argv += ["--metric", "poly", "--spec", str(tmp_path / "spec.txt")]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(calls) == reports
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["spectral"]) == [s["stage"] for s in summary["stages"]]
+
     def test_absent_flags_keep_config_defaults(self):
         args = build_parser().parse_args(["--edges", "e.txt", "--attrs", "a.txt"])
         assert config_from_args(args) == ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linkmetrics import cli, oracle
+from linkmetrics import cli, engine, oracle
 from linkmetrics.engine import ConsensusConfig
+from linkmetrics.graph import from_edges
 from linkmetrics.metrics import (
     MetricSpec,
     parse_metric_spec,
@@ -21,6 +23,7 @@ from helpers import (
     er_instance,
     path,
     preferential_attachment,
+    reference_polynomial_terms,
     triangle,
 )
 
@@ -33,10 +36,6 @@ class TestMetricSpec:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             MetricSpec(terms=((-1, 0, 1.0),))
-
-    def test_max_degree(self):
-        assert tv_metric_spec().max_degree == 2
-        assert MetricSpec(terms=()).max_degree == 0
 
     def test_evaluate_tv_form(self):
         spec = tv_metric_spec()
@@ -158,6 +157,64 @@ class TestPolynomialMetric:
         blocked = block_edge_count(g)
         got = polynomial_metric(blocked, y, tv_metric_spec())
         assert got == pytest.approx(oracle.exact_total_variation(g, y), rel=1e-6)
+
+
+# The edge averages behind Newman's degree assortativity: terms (1,1) and
+# (1,0) share S(1,0), terms (2,0) and (1,0) share S(0,0).
+ASSORTATIVITY = MetricSpec(terms=((1, 1, 1.0), (2, 0, 1.0), (1, 0, 1.0)))
+
+
+@st.composite
+def spec_instances(draw):
+    """A small connected graph, positive attributes and a spec of up to
+    four distinct terms with exponents 0..3."""
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    y = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    lks = draw(st.lists(exponents, min_size=1, max_size=4, unique=True))
+    cs = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(lks), max_size=len(lks)))
+    spec = MetricSpec(terms=tuple((l, k, c) for (l, k), c in zip(lks, cs)))
+    return from_edges(n, edges), y, spec
+
+
+class TestSharedStages:
+    """Terms that share a stage S(l, k) share its one run."""
+
+    @pytest.mark.parametrize(
+        "spec, calls", [(ASSORTATIVITY, 4), (tv_metric_spec(), 5)],
+        ids=["assortativity", "tv"],
+    )
+    def test_one_wac_run_per_distinct_stage(self, spec, calls, monkeypatch):
+        seen = []
+        real = engine.wac_run
+        monkeypatch.setattr(engine, "wac_run", lambda *a: seen.append(a) or real(*a))
+        g, y = er_instance(3, n_lo=20, n_hi=40)
+        polynomial_metric_terms(g, y, spec)
+        assert len(seen) == calls
+
+    def test_shared_stage_is_one_run(self):
+        g, y = er_instance(3, n_lo=20, n_hi=40)
+        uv, uu, u = polynomial_metric_terms(g, y, ASSORTATIVITY)
+        assert uv.runs[1] is u.runs[0]
+        assert uu.runs[1] is u.runs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_instances())
+    def test_terms_equal_independent_stage_runs(self, instance):
+        g, y, spec = instance
+        cfg = ConsensusConfig(max_iterations=2000)
+        got = polynomial_metric_terms(g, y, spec, cfg)
+        want = reference_polynomial_terms(g, y, spec, cfg)
+        assert len(got) == len(want)
+        for t, r in zip(got, want):
+            assert (t.l, t.k, t.c_lk) == (r.l, r.k, r.c_lk)
+            assert (t.alpha_1lk, t.alpha_2lk, t.h_lk) == (r.alpha_1lk, r.alpha_2lk, r.h_lk)
+            for a, b in zip(t.runs, r.runs):
+                assert a.iterations_used == b.iterations_used
+                assert a.final_states == b.final_states
 
 
 def _contract_instance(kind, seed):

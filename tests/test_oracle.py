@@ -85,6 +85,17 @@ class TestOverflow:
         with pytest.raises(ValueError, match="overflows"):
             exact_polynomial_metric(g, y, tv_metric_spec())
 
+    def test_product_overflow(self):
+        # Each power is finite; the product u * v overflows.
+        spec = MetricSpec(terms=((1, 1, 1.0),))
+        with pytest.raises(ValueError, match="overflows"):
+            exact_polynomial_metric(triangle(), [1e200, 2e200, 3e200], spec)
+
+    def test_alphas_product_overflow(self):
+        # d * v * v and y_i * sum_j y_j overflow by multiplication.
+        with pytest.raises(ValueError, match="overflows"):
+            exact_alphas(triangle(), [1e160, 2e160, 3e160])
+
     def test_power_overflow(self):
         spec = MetricSpec(terms=((3, 0, 1.0),))
         with pytest.raises(ValueError, match="overflows"):
