@@ -4,15 +4,16 @@ The weighted-average update is
     x_i(k+1) = x_i(k) + (eps / w_i) * sum_{j in N_i} (x_j(k) - x_i(k)),
 with all updates reading round-k values (Jacobi contract). Neighbor
 accumulation runs in ascending neighbor-id order. `wac_run` applies it to
-all nodes at once as a NumPy column sweep that keeps that order;
-`wac_step_value` is the per-node form the simulation harness runs, and
-the two give bit-identical traces.
+all nodes at once, one `np.bincount` over both orientations of every
+edge per round, which keeps that order; `wac_step_value` is the per-node
+form the simulation harness runs, and the two give bit-identical traces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,14 +119,9 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> list[float]:
     validate_positive(y, "y")
     if any(d == 0 for d in g.degrees):
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
-    yk = node_powers(y, k)
-    out = []
-    for nbrs in g.adjacency:
-        acc = 0.0
-        for j in nbrs:
-            acc += yk[j]
-        out.append(acc)
-    return out
+    src, dst = _edge_arrays(g)
+    yk = np.array(node_powers(y, k))
+    return np.bincount(src, weights=yk[dst], minlength=g.node_count).tolist()
 
 
 def exact_consensus_target(x0: Sequence[float], w: Sequence[float]) -> float:
@@ -156,22 +152,12 @@ def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
     return eps
 
 
-def _column_sweep_layout(g: Graph):
-    """Jagged-diagonal layout of the adjacency, in degree-sorted order.
-
-    `perm` sorts the nodes by degree, descending and stable, and `pos` is
-    its inverse. Column c lists, for the `counts[c]` nodes of degree > c
-    (a prefix of the sorted order), the sorted position of each one's
-    c-th smallest neighbor id. `nbr` holds the columns end to end, and
-    `rows` the matching own positions.
-    """
-    deg = np.array(g.degrees)
-    perm = np.argsort(-deg, kind="stable")
-    pos = np.argsort(perm)
-    counts = [int(np.count_nonzero(deg > c)) for c in range(deg.max())]
-    nbr = np.array([pos[g.adjacency[i][c]] for c, k in enumerate(counts) for i in perm[:k]])
-    rows = np.concatenate([np.arange(k) for k in counts])
-    return perm, pos, counts, nbr, rows
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Both orientations of every edge, ordered by node, then by neighbor
+    id: node src[e] has neighbor dst[e]."""
+    src = np.repeat(np.arange(g.node_count), g.degrees)
+    dst = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=len(src))
+    return src, dst
 
 
 def wac_run(
@@ -187,11 +173,16 @@ def wac_run(
     `step_tolerance`, the state spread drops below `spread_tolerance`, or
     `max_iterations` is hit (converged=False). Runs that blow up to
     non-finite values abort early as unconverged, and a run whose
-    consensus value is not finite never counts as converged.
+    consensus value is not finite never counts as converged. The spread
+    test passes at no less than 16 ulp of the largest finite |x_i(0)|, the
+    finest spread that states of that size resolve.
 
-    Each round sweeps the columns of `_column_sweep_layout`, so every node
-    sums x_j - x_i from 0.0 in ascending neighbor-id order, as
-    `wac_step_value` does: iterates are bit-identical to the per-node form.
+    Each round sums x_j - x_i over the edge arrays of `_edge_arrays` with
+    one weighted `np.bincount`. NumPy adds each bin's terms in index order,
+    starting from 0.0, so every node sums in ascending neighbor-id order as
+    `wac_step_value` does, and iterates are bit-identical to the per-node
+    form. That order is how NumPy implements `bincount`, not a documented
+    guarantee; the engine-versus-harness tests and the goldens pin it.
     """
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
@@ -199,45 +190,43 @@ def wac_run(
     delta = max_step_size(w, g)
     eps = resolve_epsilon(cfg, delta)
 
-    perm, pos, counts, nbr, rows = _column_sweep_layout(g)
-    # x, scale and acc are in sorted order; x[pos] is node order.
-    x = np.array(x0, dtype=float)[perm]
-    scale = (eps / np.array(w, dtype=float))[perm]
-    acc, diff = np.empty(len(x)), np.empty(len(nbr))
-    offsets = np.cumsum([0] + counts)
-    columns = [(acc[:k], diff[lo:lo + k]) for k, lo in zip(counts, offsets)]
-    trace: list[list[float]] | None = [x[pos].tolist()] if cfg.record_trace else None
+    src, dst = _edge_arrays(g)
+    x = np.array(x0, dtype=float)
+    scale = eps / np.array(w, dtype=float)
+    diff = np.empty(len(dst))
+    trace: list[list[float]] | None = [x.tolist()] if cfg.record_trace else None
     residuals: list[float] = []
+    spread_tolerance = cfg.spread_tolerance
+    top = float(np.abs(x).max())
+    if math.isfinite(top):
+        spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
 
     iterations = 0
     # Divergent runs overflow to inf and nan, then stop on the non-finite
     # residual, so the floating-point warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        converged = float(x.max() - x.min()) <= cfg.spread_tolerance
+        converged = float(x.max() - x.min()) <= spread_tolerance
         while not converged and iterations < cfg.max_iterations:
             # Indices are in range by construction; mode="clip" only
             # spares take() the buffered copy that mode="raise" makes.
-            x.take(nbr, out=diff, mode="clip")
-            diff -= x.take(rows, mode="clip")
-            acc.fill(0.0)
-            for acc_c, diff_c in columns:
-                acc_c += diff_c
-            new = x + scale * acc
+            x.take(dst, out=diff, mode="clip")
+            diff -= x.take(src, mode="clip")
+            new = x + scale * np.bincount(src, weights=diff, minlength=len(x))
             # fmax skips nan steps, as the scalar `step > resid` test does.
             resid = float(np.fmax.reduce(np.abs(new - x), initial=0.0))
             x = new
             iterations += 1
             residuals.append(resid)
             if trace is not None:
-                trace.append(x[pos].tolist())
+                trace.append(x.tolist())
             if not math.isfinite(resid):
                 break
             converged = (
                 resid <= cfg.step_tolerance
-                or float(x.max() - x.min()) <= cfg.spread_tolerance
+                or float(x.max() - x.min()) <= spread_tolerance
             )
 
-    final = x[pos].tolist()
+    final = x.tolist()
     value = math.nan
     if all(map(math.isfinite, final)):
         try:
@@ -264,30 +253,23 @@ def min_consensus(
 
     Returns (final states, rounds that produced a change). One extra
     verification round beyond `max_rounds` is allowed for the no-change
-    detection itself.
+    detection itself. States must be finite, since `np.minimum` spreads nan.
     """
     if not graphmod.is_connected(g):
         raise DisconnectedGraphError("min_consensus requires a connected graph")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    x = [float(v) for v in x0]
+    x = np.array(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("min_consensus states must be finite")
+    src, dst = _edge_arrays(g)
     for r in range(max_rounds + 1):
-        new = []
-        for i, nbrs in enumerate(g.adjacency):
-            m = x[i]
-            for j in nbrs:
-                if x[j] < m:
-                    m = x[j]
-            new.append(m)
-        if new == x:
-            return x, r
+        new = x.copy()
+        np.minimum.at(new, src, x[dst])
+        if np.array_equal(new, x):
+            return x.tolist(), r
         x = new
     raise RuntimeError(
         f"min_consensus did not stabilize within {max_rounds} rounds; "
         "this should be impossible on a connected graph with max_rounds >= N - 1"
     )
-
-
-def distributed_delta1(g: Graph, y: Sequence[float]) -> float:
-    """WAC1 step bound via min-consensus over local neighbor averages."""
-    return max_step_size(neighbor_weight_sums(g, y, 1), g)

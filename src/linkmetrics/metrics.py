@@ -146,18 +146,6 @@ def total_variation_pipeline(
     return TVResult(a1, a2, a3, tv, runs)
 
 
-def polynomial_term_pipeline(
-    g: Graph,
-    y: Sequence[float],
-    l: int,
-    k: int,
-    c_lk: float,
-    cfg: ConsensusConfig | None = None,
-) -> PolyTermResult:
-    """Two-stage consensus computation of one polynomial term: S(l,k), S(k,0)."""
-    return polynomial_metric_terms(g, y, MetricSpec(((l, k, c_lk),)), cfg)[0]
-
-
 def polynomial_metric_terms(
     g: Graph, y: Sequence[float], spec: MetricSpec, cfg: ConsensusConfig | None = None
 ) -> list[PolyTermResult]:

@@ -103,7 +103,7 @@ def make_wac_program(w: Sequence[float], epsilon: float) -> NodeProgram:
 
     Node state is (x, scale) with scale = epsilon / w_i; the broadcast
     message is the bare state value. The update is
-    engine.wac_step_value, the per-node form of engine.wac_run's sweep.
+    engine.wac_step_value, the per-node form of engine.wac_run's round.
     """
     engine.validate_positive(w, "w")
     if epsilon <= 0:

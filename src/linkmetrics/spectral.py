@@ -30,14 +30,6 @@ class SpectralReport:
     eigenvalues: list[float]
     rho: float
 
-    def predicted_iterations(self, target_reduction: float) -> int:
-        """Iterations to shrink the error by `target_reduction` (< 1)."""
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("prediction requires 0 < rho < 1")
-        if not (0.0 < target_reduction < 1.0):
-            raise ValueError("target_reduction must lie in (0, 1)")
-        return math.ceil(math.log(target_reduction) / math.log(self.rho))
-
 
 def normalized_weight_matrix(g: Graph, w: Sequence[float], epsilon: float) -> np.ndarray:
     """Symmetric iteration matrix I - eps*W^{-1/2} L W^{-1/2}.
@@ -45,15 +37,11 @@ def normalized_weight_matrix(g: Graph, w: Sequence[float], epsilon: float) -> np
     The upper triangle is computed and mirrored, so symmetry is exact.
     """
     engine.validate_positive(w, "w")
-    n = g.node_count
-    inv_sqrt = [1.0 / math.sqrt(wi) for wi in w]
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] = 1.0 - epsilon * g.degrees[i] * inv_sqrt[i] * inv_sqrt[i]
-        for j in g.adjacency[i]:
-            if j > i:
-                m[i, j] = epsilon * inv_sqrt[i] * inv_sqrt[j]
-                m[j, i] = m[i, j]
+    inv = 1.0 / np.sqrt(np.array(w, dtype=float))
+    m = np.zeros((g.node_count, g.node_count))
+    np.fill_diagonal(m, 1.0 - epsilon * np.array(g.degrees) * inv * inv)
+    i, j = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
+    m[i, j] = m[j, i] = epsilon * inv[i] * inv[j]
     return m
 
 

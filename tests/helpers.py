@@ -3,7 +3,11 @@ plain-loop reference forms that faster code is pinned against."""
 
 from __future__ import annotations
 
-from linkmetrics import cli, metrics
+import math
+
+import numpy as np
+
+from linkmetrics import cli, engine, metrics
 from linkmetrics.graph import Graph, from_edges, largest_connected_component
 from linkmetrics.rng import SplitMix64, derive_seed
 from linkmetrics.simharness import HarnessTrace
@@ -72,6 +76,52 @@ def block_edge_count(g: Graph) -> Graph:
     for name in ("node_count", "adjacency", "degrees", "original_ids"):
         object.__setattr__(blocked, name, getattr(g, name))
     return blocked
+
+
+def reference_neighbor_weight_sums(g: Graph, y, k: int) -> list[float]:
+    """engine.neighbor_weight_sums as a per-node loop: each w_i sums
+    y_j**k from 0.0 over the neighbors j in ascending id order."""
+    yk = engine.node_powers(y, k)
+    out = []
+    for nbrs in g.adjacency:
+        acc = 0.0
+        for j in nbrs:
+            acc += yk[j]
+        out.append(acc)
+    return out
+
+
+def reference_min_consensus(g: Graph, x0, max_rounds: int) -> tuple[list[float], int]:
+    """engine.min_consensus as a per-node loop over the closed
+    neighborhoods, without its input checks."""
+    x = [float(v) for v in x0]
+    for r in range(max_rounds + 1):
+        new = []
+        for i, nbrs in enumerate(g.adjacency):
+            m = x[i]
+            for j in nbrs:
+                if x[j] < m:
+                    m = x[j]
+            new.append(m)
+        if new == x:
+            return x, r
+        x = new
+    raise RuntimeError("reference min-consensus did not stabilize")
+
+
+def reference_normalized_weight_matrix(g: Graph, w, epsilon: float) -> np.ndarray:
+    """spectral.normalized_weight_matrix as a loop over the nodes and
+    their larger neighbors, mirroring each upper-triangle entry."""
+    n = g.node_count
+    inv_sqrt = [1.0 / math.sqrt(wi) for wi in w]
+    m = np.zeros((n, n))
+    for i in range(n):
+        m[i, i] = 1.0 - epsilon * g.degrees[i] * inv_sqrt[i] * inv_sqrt[i]
+        for j in g.adjacency[i]:
+            if j > i:
+                m[i, j] = epsilon * inv_sqrt[i] * inv_sqrt[j]
+                m[j, i] = m[i, j]
+    return m
 
 
 def reference_generate_synthetic(n: int, p: float, seed: int) -> Graph:

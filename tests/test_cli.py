@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -272,7 +273,6 @@ class TestRunExperiment:
             (TRIANGLE_EDGES, "0 1.3e154\n1 1e-3\n2 2.0\n", ["--oracle"]),
             (TRIANGLE_EDGES, "0 1.3e154\n1 1e-3\n2 2.0\n", ["poly", "1 1 1.0\n2 0 1.0\n"]),
             # The stages run; the reference edge sum leaves the float range.
-            # States near 1e307 never meet the absolute tolerances, hence the cap.
             (
                 "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)),
                 "".join(f"{i} {1.0 if i % 2 == 0 else 5e153}\n" for i in range(10)),
@@ -310,6 +310,23 @@ class TestRunExperiment:
         argv = ["--edges", str(edges), "--attrs", str(attrs), "--no-traces", "--out", str(out)]
         assert main(argv) == 0
         assert (out / "summary.json").exists()
+
+    def test_states_near_float_max_converge(self, tmp_path):
+        # Stage 1 starts from 1.0 and 2.5e307, whose spread never gets below
+        # the absolute 1e-10; the 16-ulp floor lets all three stages stop.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+        y = [1.0 if i % 2 == 0 else 5e153 for i in range(10)]
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("".join(f"{i} {v!r}\n" for i, v in enumerate(y)))
+        out = tmp_path / "o"
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--no-traces", "--out", str(out)]
+        # A cap far above the ~150 rounds each stage needs keeps a regression short.
+        assert main(argv + ["--max-iters", "10000"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(s["converged"] and s["iterations"] < 1000 for s in summary["stages"])
+        exact = sum((Fraction(y[i]) - Fraction(y[(i + 1) % 10])) ** 2 for i in range(10)) / 10
+        assert summary["metric_value"] == pytest.approx(float(exact), rel=1e-12)
 
     def test_poly_shift_rejected(self, triangle_files, tmp_path):
         edges, attrs = triangle_files

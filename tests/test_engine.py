@@ -2,13 +2,13 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkmetrics import cli
 from linkmetrics.engine import (
     ConfigurationError,
     ConsensusConfig,
     IsolatedNodeError,
-    distributed_delta1,
     exact_consensus_target,
     max_step_size,
     min_consensus,
@@ -19,7 +19,17 @@ from linkmetrics.engine import (
 from linkmetrics.graph import DisconnectedGraphError, diameter, from_edges
 from linkmetrics.rng import SplitMix64
 
-from helpers import complete, cycle, er_instance, path, star, triangle
+from helpers import (
+    complete,
+    cycle,
+    er_instance,
+    path,
+    preferential_attachment,
+    reference_min_consensus,
+    reference_neighbor_weight_sums,
+    star,
+    triangle,
+)
 
 
 class TestConsensusConfig:
@@ -270,6 +280,77 @@ class TestMinConsensus:
             states, rounds = min_consensus(g, x0, max(diam, 1))
             assert states == [min(x0)] * n
             assert rounds <= diam
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_state_rejected(self, bad):
+        # np.minimum spreads nan, where a `<` comparison would skip it.
+        with pytest.raises(ValueError, match="finite"):
+            min_consensus(path(3), [1.0, bad, 2.0], 2)
+
+
+def _relabel(g, labels):
+    return from_edges(g.node_count, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """A connected graph on 2-40 nodes with shuffled labels: a random tree
+    plus extra edges, or a preferential-attachment graph, whose hubs have
+    more neighbors than a pairwise sum adds sequentially."""
+    n = draw(st.integers(2, 40))
+    if n > 4 and draw(st.booleans()):
+        g = preferential_attachment(n, draw(st.integers(1, 3)), draw(st.integers(0, 2**32)))
+    else:
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+        g = from_edges(n, list(enumerate(parents, start=1)) + extra)
+    return _relabel(g, draw(st.permutations(range(n))))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEdgeArrayKernels:
+    """neighbor_weight_sums and min_consensus equal their per-node loops
+    bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_graphs(), st.integers(0, 3), st.data())
+    def test_neighbor_weight_sums_match_reference(self, g, k, data):
+        positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+        y = data.draw(st.lists(positive, min_size=g.node_count, max_size=g.node_count))
+        expected = reference_neighbor_weight_sums(g, y, k)
+        assert _bits(neighbor_weight_sums(g, y, k)) == _bits(expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hub_sums_match_reference(self, seed):
+        rng = SplitMix64(seed)
+        labels = sorted(range(40), key=lambda _: rng.next_uint64())
+        g = _relabel(preferential_attachment(40, 2, seed), labels)
+        assert max(g.degrees) > 8
+        y = [rng.random() * 10.0 ** (rng.next_uint64() % 7 - 3) for _ in range(40)]
+        for k in range(4):
+            expected = reference_neighbor_weight_sums(g, y, k)
+            assert _bits(neighbor_weight_sums(g, y, k)) == _bits(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_graphs(), st.data())
+    def test_min_consensus_matches_reference(self, g, data):
+        # Nonzero states: of 0.0 and -0.0, np.minimum may keep either.
+        finite = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+        x0 = data.draw(st.lists(finite, min_size=g.node_count, max_size=g.node_count))
+        rounds = max(1, g.node_count - 1)
+        states, used = min_consensus(g, x0, rounds)
+        ref_states, ref_used = reference_min_consensus(g, x0, rounds)
+        assert (_bits(states), used) == (_bits(ref_states), ref_used)
+
+
+def distributed_delta1(g, y):
+    """WAC1's step bound: min-consensus over the neighbor attribute averages."""
+    return max_step_size(neighbor_weight_sums(g, y, 1), g)
 
 
 class TestDistributedDelta1:

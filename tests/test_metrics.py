@@ -11,7 +11,6 @@ from linkmetrics.metrics import (
     parse_metric_spec,
     polynomial_metric,
     polynomial_metric_terms,
-    polynomial_term_pipeline,
     shift_attributes,
     total_variation_pipeline,
     tv_metric_spec,
@@ -105,26 +104,31 @@ class TestTotalVariationPipeline:
         )
 
 
+def one_term(g, y, l, k, c):
+    """The pipeline of the single term (l, k) with coefficient c."""
+    return polynomial_metric_terms(g, y, MetricSpec(((l, k, c),)))[0]
+
+
 class TestPolynomialTermPipeline:
     def test_triangle_cross_term(self):
-        t = polynomial_term_pipeline(triangle(), [1.0, 2.0, 3.0], 1, 1, 1.0)
+        t = one_term(triangle(), [1.0, 2.0, 3.0], 1, 1, 1.0)
         assert t.alpha_1lk == pytest.approx(11.0 / 6.0, abs=1e-9)
         assert t.alpha_2lk == pytest.approx(2.0, abs=1e-9)
         assert t.h_lk == pytest.approx(11.0 / 3.0, abs=1e-9)
 
     def test_constant_term_is_one(self):
         g, y = er_instance(5, n_lo=10, n_hi=30)
-        t = polynomial_term_pipeline(g, y, 0, 0, 1.0)
+        t = one_term(g, y, 0, 0, 1.0)
         assert t.h_lk == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_coefficient(self):
-        t = polynomial_term_pipeline(triangle(), [1.0, 2.0, 3.0], 2, 1, 0.0)
+        t = one_term(triangle(), [1.0, 2.0, 3.0], 2, 1, 0.0)
         assert t.h_lk == 0.0
 
     @pytest.mark.parametrize("l, k", [(2, 0), (0, 2)])
     def test_overflowing_power_rejected(self, l, k):
         with pytest.raises(ValueError, match="node 0"):
-            polynomial_term_pipeline(triangle(), [1e200, 2.0, 3.0], l, k, 1.0)
+            one_term(triangle(), [1e200, 2.0, 3.0], l, k, 1.0)
 
 
 class TestPolynomialMetric:
@@ -267,15 +271,14 @@ class TestOverflowingStages:
 
     def test_finite_alphas_overflowing_total_variation_rejected(self):
         # On a single edge the squares pass the stage check, but 2*alpha1
-        # overflows. States near 1e308 never meet the absolute tolerances,
-        # so the iteration cap keeps the stages short.
+        # overflows.
         cfg = ConsensusConfig(max_iterations=200)
         with pytest.raises(ValueError, match="total variation overflows"):
             total_variation_pipeline(path(2), [1e154, 1.2e154], cfg)
 
     def test_finite_alphas_overflowing_term_rejected(self):
         with pytest.raises(ValueError, match=r"term \(1,1\) overflows"):
-            polynomial_term_pipeline(triangle(), [1e200, 2e200, 3e200], 1, 1, 1.0)
+            one_term(triangle(), [1e200, 2e200, 3e200], 1, 1, 1.0)
 
     def test_overflowing_term_sum_rejected(self):
         spec = MetricSpec(terms=((0, 0, 1.7e308), (1, 0, 1e308)))
@@ -288,12 +291,13 @@ class TestShiftAttributes:
         assert shift_attributes([1.0, 2.0, 3.0], 10.0) == [11.0, 12.0, 13.0]
 
     def test_shift_enlarges_delta1(self):
-        from linkmetrics.engine import distributed_delta1
+        def delta1(g, y):
+            return engine.max_step_size(engine.neighbor_weight_sums(g, y, 1), g)
 
         g = triangle()
         y = [1.0, 2.0, 3.0]
-        assert distributed_delta1(g, y) == 1.5
-        assert distributed_delta1(g, shift_attributes(y, 10.0)) == 11.5
+        assert delta1(g, y) == 1.5
+        assert delta1(g, shift_attributes(y, 10.0)) == 11.5
 
     def test_zero_shift_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from linkmetrics.spectral import (
     symmetric_eigenvalues,
 )
 
-from helpers import er_instance, triangle
+from helpers import er_instance, reference_normalized_weight_matrix, triangle
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> list[float]:
@@ -53,6 +53,16 @@ class TestNormalizedWeightMatrix:
         w = [v + 0.1 for v in y]
         m = normalized_weight_matrix(g, w, 0.4)
         assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bytes_match_reference_loop(self, seed):
+        g, y = er_instance(seed, n_lo=10, n_hi=60)
+        for w in ([float(d) for d in g.degrees], [v + 0.1 for v in y]):
+            m = normalized_weight_matrix(g, w, 0.4)
+            assert m.tobytes() == reference_normalized_weight_matrix(g, w, 0.4).tobytes()
+
+    def test_edgeless_graph(self):
+        assert normalized_weight_matrix(from_edges(1, []), [2.0], 0.5).tolist() == [[1.0]]
 
 
 class TestSymmetricEigenvalues:
@@ -136,7 +146,7 @@ class TestSpectralInvariants:
                 k for k, states in enumerate(run.trace)
                 if max(states) - min(states) <= 1e-6 * spread0
             )
-            predicted = report.predicted_iterations(1e-6)
+            predicted = math.ceil(math.log(1e-6) / math.log(report.rho))
             assert predicted / 2 <= actual <= predicted * 2
 
 
