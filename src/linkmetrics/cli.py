@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,14 +137,18 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_trace_csv(path: Path, trace: list[list[float]]) -> None:
+def _write_trace_csv(path: Path, trace: Sequence[Sequence[float]]) -> None:
     """One 'iteration,node_id,state' row per node and iteration, with the
-    state as repr(); each iteration is one %-substitution of a template."""
+    state as repr(); each iteration is one %-substitution of a template.
+
+    Rows may be float64 arrays or lists. Each is turned into Python floats
+    first, since the repr of a NumPy 2 scalar is 'np.float64(...)'.
+    """
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write("iteration,node_id,state\n")
         template = "".join(f"@,{node},%r\n" for node in range(len(trace[0])))
         for it, states in enumerate(trace):
-            f.write(template.replace("@", str(it)) % tuple(states))
+            f.write(template.replace("@", str(it)) % tuple(np.asarray(states).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +234,18 @@ def _run_metric(
 
 def _stage_entries(stages: Stages, out: Path) -> list[dict]:
     """summary.json entries of `stages`; each recorded trace goes to
-    out/<stage>_trace.csv."""
+    out/<stage>_trace.csv. A run listed under several names is formatted
+    once, under its first name, and its bytes copied to the others."""
     entries = []
+    written: dict[int, Path] = {}  # id(run) -> its first trace CSV
     for name, run in stages:
         if run.trace is not None:
-            _write_trace_csv(out / f"{name}_trace.csv", run.trace)
+            path = out / f"{name}_trace.csv"
+            if id(run) in written:
+                shutil.copyfile(written[id(run)], path)
+            else:
+                _write_trace_csv(path, run.trace)
+                written[id(run)] = path
         entries.append({
             "stage": name,
             "epsilon": run.epsilon,

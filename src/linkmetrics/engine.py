@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,7 +67,10 @@ class ConsensusRun:
     epsilon: float
     max_step_bound: float
     weights: list[float]
-    trace: list[list[float]] | None = None
+    trace: list[np.ndarray] | None = None
+    """With `record_trace`, one 1-D float64 row of N states per round:
+    row k is x(k) and row 0 is x(0). The rows are the arrays the iteration
+    computed, kept without a copy; share them, but never write to them."""
     residual_trace: list[float] = field(default_factory=list)
 
 
@@ -119,7 +121,7 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> list[float]:
     validate_positive(y, "y")
     if any(d == 0 for d in g.degrees):
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
-    src, dst = _edge_arrays(g)
+    src, dst = g.edge_arrays
     yk = np.array(node_powers(y, k))
     return np.bincount(src, weights=yk[dst], minlength=g.node_count).tolist()
 
@@ -152,14 +154,6 @@ def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
     return eps
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Both orientations of every edge, ordered by node, then by neighbor
-    id: node src[e] has neighbor dst[e]."""
-    src = np.repeat(np.arange(g.node_count), g.degrees)
-    dst = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=len(src))
-    return src, dst
-
-
 def wac_run(
     g: Graph,
     x0: Sequence[float],
@@ -177,7 +171,7 @@ def wac_run(
     test passes at no less than 16 ulp of the largest finite |x_i(0)|, the
     finest spread that states of that size resolve.
 
-    Each round sums x_j - x_i over the edge arrays of `_edge_arrays` with
+    Each round sums x_j - x_i over the edge arrays `g.edge_arrays` with
     one weighted `np.bincount`. NumPy adds each bin's terms in index order,
     starting from 0.0, so every node sums in ascending neighbor-id order as
     `wac_step_value` does, and iterates are bit-identical to the per-node
@@ -190,11 +184,15 @@ def wac_run(
     delta = max_step_size(w, g)
     eps = resolve_epsilon(cfg, delta)
 
-    src, dst = _edge_arrays(g)
+    # take() and bincount() copy a read-only index array on every call, so
+    # the rounds use writeable copies of the graph's shared edge arrays.
+    src, dst = (a.copy() for a in g.edge_arrays)
     x = np.array(x0, dtype=float)
     scale = eps / np.array(w, dtype=float)
     diff = np.empty(len(dst))
-    trace: list[list[float]] | None = [x.tolist()] if cfg.record_trace else None
+    # Each round allocates a fresh `new`, so the trace keeps the arrays
+    # themselves; an update that reused a buffer would have to copy them.
+    trace: list[np.ndarray] | None = [x] if cfg.record_trace else None
     residuals: list[float] = []
     spread_tolerance = cfg.spread_tolerance
     top = float(np.abs(x).max())
@@ -218,7 +216,7 @@ def wac_run(
             iterations += 1
             residuals.append(resid)
             if trace is not None:
-                trace.append(x.tolist())
+                trace.append(x)
             if not math.isfinite(resid):
                 break
             converged = (
@@ -262,7 +260,7 @@ def min_consensus(
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("min_consensus states must be finite")
-    src, dst = _edge_arrays(g)
+    src, dst = g.edge_arrays
     for r in range(max_rounds + 1):
         new = x.copy()
         np.minimum.at(new, src, x[dst])

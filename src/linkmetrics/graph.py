@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -53,6 +55,16 @@ class Graph:
             for j in nbrs:
                 if j > i:
                     yield (i, j)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both orientations of every edge, ordered by node, then by
+        neighbor id: node src[e] has neighbor dst[e]. Built on first use
+        and shared by every later caller, so both arrays are read-only."""
+        src = np.repeat(np.arange(self.node_count), self.degrees)
+        dst = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp, count=len(src))
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
 
 
 def from_edges(n: int, edges, original_ids=None) -> Graph:

@@ -210,7 +210,7 @@ def test_harness_equivalence():
         run = wac_run(g, y, w, cfg)
         trace = run_synchronous(g, make_wac_program(w, eps), y, max_rounds=rounds)
         edge_pairs = {(i, j) for i in range(g.node_count) for j in g.adjacency[i]}
-        ok = ok and trace.state_values() == run.trace
+        ok = ok and trace.state_values() == [r.tolist() for r in run.trace]
         ok = ok and trace.message_pairs <= edge_pairs
     report("harness traces bit-identical to engine; locality audit", ok)
 

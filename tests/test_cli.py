@@ -392,6 +392,32 @@ class TestRunExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary["spectral"]) == [s["stage"] for s in summary["stages"]]
 
+    def test_shared_run_trace_formatted_once(self, triangle_files, tmp_path, monkeypatch):
+        # Six stage entries from four distinct runs: S(1,1), S(1,0), S(2,0), S(0,0).
+        calls = []
+        real = cli._write_trace_csv
+        monkeypatch.setattr(
+            cli, "_write_trace_csv",
+            lambda path, trace: calls.append(path.name) or real(path, trace),
+        )
+        edges, attrs = triangle_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 1 1\n2 0 1\n1 0 1\n")
+        out = tmp_path / "out"
+        assert main([
+            "--edges", str(edges), "--attrs", str(attrs),
+            "--metric", "poly", "--spec", str(spec), "--out", str(out),
+        ]) == 0
+        assert calls == [
+            "term_1_1_stage1_trace.csv", "term_1_1_stage2_trace.csv",
+            "term_2_0_stage1_trace.csv", "term_2_0_stage2_trace.csv",
+        ]
+        for copy, first in [
+            ("term_1_0_stage1", "term_1_1_stage2"), ("term_1_0_stage2", "term_2_0_stage2"),
+        ]:
+            copied = (out / f"{copy}_trace.csv").read_bytes()
+            assert copied == (out / f"{first}_trace.csv").read_bytes()
+
     def test_absent_flags_keep_config_defaults(self):
         args = build_parser().parse_args(["--edges", "e.txt", "--attrs", "a.txt"])
         assert config_from_args(args) == ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")

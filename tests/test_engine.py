@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,7 +133,33 @@ class TestWacRun:
             step_tolerance=1e-300, spread_tolerance=1e-300,
         )
         run = wac_run(g, [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], cfg)
-        assert run.trace[1] == [1.75, 2.0, 2.25]
+        assert run.trace[1].tolist() == [1.75, 2.0, 2.25]
+
+    def test_trace_memory_is_float64_rows(self):
+        # Stage S(1,1) of desk scale, capped. One float64 row per round
+        # costs 8 N bytes; a list of Python floats costs about 4x that.
+        g = cli.generate_synthetic(200, 0.025, 42)
+        y = cli.generate_attributes(g, 5.0, 42)
+        w = neighbor_weight_sums(g, y, 1)
+        rounds = 2000
+        cfg = ConsensusConfig(max_iterations=rounds, record_trace=True)
+        tracemalloc.start()
+        try:
+            run = wac_run(g, y, w, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.iterations_used == rounds and not run.converged
+        n = g.node_count
+        assert peak <= 1.25 * 8 * n * (rounds + 1) + 256 * 1024
+        assert len(run.trace) == rounds + 1
+        for row in run.trace:
+            assert isinstance(row, np.ndarray)
+            assert row.dtype == np.float64 and row.shape == (n,)
+        # A buffer reused across rounds would be the same object in every row.
+        assert len({id(r) for r in run.trace}) == len(run.trace)
+        assert run.trace[0].tolist() == y
+        assert run.trace[-1].tolist() == run.final_states
 
     def test_constant_start_is_fixed_point(self):
         run = wac_run(cycle(5), [3.0] * 5, [2.0] * 5, ConsensusConfig(epsilon=0.5))

@@ -127,6 +127,26 @@ class TestLaplacian:
         assert laplacian(path(3)).tolist() == expect
 
 
+class TestEdgeArrays:
+    def test_path_orientations(self):
+        src, dst = path(3).edge_arrays
+        assert (src.tolist(), dst.tolist()) == ([0, 1, 1, 2], [1, 0, 2, 1])
+
+    def test_built_once_and_read_only(self):
+        g = triangle()
+        first = g.edge_arrays
+        assert all(a is b for a, b in zip(g.edge_arrays, first))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_not_part_of_equality(self):
+        g = triangle()
+        g.edge_arrays
+        assert g == triangle() and hash(g) == hash(triangle())
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_parsed_graph_invariants(self, seed):

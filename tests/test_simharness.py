@@ -36,7 +36,7 @@ def engine_and_harness_traces(g, y, w, rounds):
     )
     run = wac_run(g, y, w, cfg)
     trace = run_synchronous(g, make_wac_program(w, eps), y, max_rounds=rounds)
-    return trace.state_values()[: len(run.trace)], run.trace
+    return trace.state_values()[: len(run.trace)], [r.tolist() for r in run.trace]
 
 
 @st.composite
@@ -175,7 +175,7 @@ class TestCrossValidation:
         )
         run = wac_run(g, y, w, cfg)
         trace = run_synchronous(g, make_wac_program(w, eps), y, max_rounds=rounds)
-        assert trace.state_values() == run.trace
+        assert trace.state_values() == [r.tolist() for r in run.trace]
 
     @pytest.mark.parametrize(
         "g",
