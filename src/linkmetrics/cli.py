@@ -234,18 +234,20 @@ def _run_metric(
 
 def _stage_entries(stages: Stages, out: Path) -> list[dict]:
     """summary.json entries of `stages`; each recorded trace goes to
-    out/<stage>_trace.csv. A run listed under several names is formatted
-    once, under its first name, and its bytes copied to the others."""
+    out/<stage>_trace.csv and is then dropped from its run, so that what
+    follows does not hold it in memory. A run listed under several names
+    is formatted once, under its first name, and its bytes copied to the
+    others."""
     entries = []
     written: dict[int, Path] = {}  # id(run) -> its first trace CSV
     for name, run in stages:
-        if run.trace is not None:
-            path = out / f"{name}_trace.csv"
-            if id(run) in written:
-                shutil.copyfile(written[id(run)], path)
-            else:
-                _write_trace_csv(path, run.trace)
-                written[id(run)] = path
+        path = out / f"{name}_trace.csv"
+        if id(run) in written:
+            shutil.copyfile(written[id(run)], path)
+        elif run.trace is not None:
+            _write_trace_csv(path, run.trace)
+            run.trace = None
+            written[id(run)] = path
         entries.append({
             "stage": name,
             "epsilon": run.epsilon,

@@ -4,9 +4,13 @@ The weighted-average update is
     x_i(k+1) = x_i(k) + (eps / w_i) * sum_{j in N_i} (x_j(k) - x_i(k)),
 with all updates reading round-k values (Jacobi contract). Neighbor
 accumulation runs in ascending neighbor-id order. `wac_run` applies it to
-all nodes at once, one `np.bincount` over both orientations of every
-edge per round, which keeps that order; `wac_step_value` is the per-node
-form the simulation harness runs, and the two give bit-identical traces.
+all nodes at once: each round gathers the states at both ends of every
+undirected edge u < v once, in lexicographic order, and one `np.bincount`
+adds each node's terms from its smaller-id neighbors, then its larger-id
+ones, both ascending, which keeps that order. `wac_step_value` is the
+per-node form the simulation harness runs, and the two give bit-identical
+traces. `wac_run` decides stopping once per block of rounds and discards
+the rounds a block computed past the stop.
 """
 
 from __future__ import annotations
@@ -67,10 +71,14 @@ class ConsensusRun:
     epsilon: float
     max_step_bound: float
     weights: list[float]
+    stop_reason: str
+    """The test that ended the run: "step", "spread", "cap" (max_iterations
+    reached) or "nonfinite" (a round's step was not finite)."""
     trace: list[np.ndarray] | None = None
     """With `record_trace`, one 1-D float64 row of N states per round:
-    row k is x(k) and row 0 is x(0). The rows are the arrays the iteration
-    computed, kept without a copy; share them, but never write to them."""
+    row k is x(k) and row 0 is x(0). Rows after the first are views of the
+    blocks the iteration computed, kept without a copy; share them, but
+    never write to them."""
     residual_trace: list[float] = field(default_factory=list)
 
 
@@ -154,6 +162,11 @@ def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
     return eps
 
 
+# Rounds per block: the stopping rule is checked once per block, for all of
+# its rounds at once.
+_BLOCK = 8
+
+
 def wac_run(
     g: Graph,
     x0: Sequence[float],
@@ -169,14 +182,24 @@ def wac_run(
     non-finite values abort early as unconverged, and a run whose
     consensus value is not finite never counts as converged. The spread
     test passes at no less than 16 ulp of the largest finite |x_i(0)|, the
-    finest spread that states of that size resolve.
+    finest spread that states of that size resolve. `stop_reason` names
+    the test that ended the run; the step test wins when both pass.
 
-    Each round sums x_j - x_i over the edge arrays `g.edge_arrays` with
-    one weighted `np.bincount`. NumPy adds each bin's terms in index order,
-    starting from 0.0, so every node sums in ascending neighbor-id order as
-    `wac_step_value` does, and iterates are bit-identical to the per-node
-    form. That order is how NumPy implements `bincount`, not a documented
-    guarantee; the engine-versus-harness tests and the goldens pin it.
+    Each round gathers x at both ends of every edge u < v with one `take`,
+    laid out as every v, then every u, in the edge order of `Graph.edges()`,
+    so each half holds, position by position, the neighbors of the other.
+    One weighted `np.bincount` over that layout adds x_u - x_v into bin v,
+    then x_v - x_u into bin u, each the subtraction of the per-node form.
+    NumPy adds a bin's terms in index order from 0.0, so node i adds its
+    smaller-id neighbors, then its larger-id ones, both ascending: the
+    order of `wac_step_value`, whose iterates these equal bit for bit. That
+    order is how NumPy implements `bincount`, not a documented guarantee;
+    the engine-versus-harness tests and the goldens pin it.
+
+    Stopping is decided once per block of up to `_BLOCK` rounds, never
+    past `max_iterations`, with one 2-D reduction per test. The run ends at
+    the block's first round that meets the rule and the rounds after it
+    are discarded, so results equal a check after every round.
     """
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
@@ -184,46 +207,9 @@ def wac_run(
     delta = max_step_size(w, g)
     eps = resolve_epsilon(cfg, delta)
 
-    # take() and bincount() copy a read-only index array on every call, so
-    # the rounds use writeable copies of the graph's shared edge arrays.
-    src, dst = (a.copy() for a in g.edge_arrays)
     x = np.array(x0, dtype=float)
-    scale = eps / np.array(w, dtype=float)
-    diff = np.empty(len(dst))
-    # Each round allocates a fresh `new`, so the trace keeps the arrays
-    # themselves; an update that reused a buffer would have to copy them.
     trace: list[np.ndarray] | None = [x] if cfg.record_trace else None
-    residuals: list[float] = []
-    spread_tolerance = cfg.spread_tolerance
-    top = float(np.abs(x).max())
-    if math.isfinite(top):
-        spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
-
-    iterations = 0
-    # Divergent runs overflow to inf and nan, then stop on the non-finite
-    # residual, so the floating-point warnings carry nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        converged = float(x.max() - x.min()) <= spread_tolerance
-        while not converged and iterations < cfg.max_iterations:
-            # Indices are in range by construction; mode="clip" only
-            # spares take() the buffered copy that mode="raise" makes.
-            x.take(dst, out=diff, mode="clip")
-            diff -= x.take(src, mode="clip")
-            new = x + scale * np.bincount(src, weights=diff, minlength=len(x))
-            # fmax skips nan steps, as the scalar `step > resid` test does.
-            resid = float(np.fmax.reduce(np.abs(new - x), initial=0.0))
-            x = new
-            iterations += 1
-            residuals.append(resid)
-            if trace is not None:
-                trace.append(x)
-            if not math.isfinite(resid):
-                break
-            converged = (
-                resid <= cfg.step_tolerance
-                or float(x.max() - x.min()) <= spread_tolerance
-            )
-
+    x, residuals, stop_reason = _iterate(g, x, eps / np.array(w, dtype=float), cfg, trace)
     final = x.tolist()
     value = math.nan
     if all(map(math.isfinite, final)):
@@ -233,15 +219,98 @@ def wac_run(
             value = math.fsum(v / len(final) for v in final)
     return ConsensusRun(
         final_states=final,
-        iterations_used=iterations,
-        converged=converged and math.isfinite(value),
+        iterations_used=len(residuals),
+        converged=stop_reason in ("step", "spread") and math.isfinite(value),
         consensus_value=value,
         epsilon=eps,
         max_step_bound=delta,
         weights=list(w),
+        stop_reason=stop_reason,
         trace=trace,
         residual_trace=residuals,
     )
+
+
+def _iterate(
+    g: Graph,
+    x: np.ndarray,
+    scale: np.ndarray,
+    cfg: ConsensusConfig,
+    trace: list[np.ndarray] | None,
+) -> tuple[np.ndarray, list[float], str]:
+    """The rounds of `wac_run` from state x with per-node scale eps / w_i:
+    the final state, every round's residual and the stop reason. Appends
+    the rounds to `trace` unless it is None."""
+    n = g.node_count
+    # Built per call, and so writeable: take() and bincount() copy a
+    # read-only index array, such as the graph's shared ones, on every call.
+    src, dst = g.edge_arrays
+    lower = src < dst
+    ends = np.concatenate((dst[lower], src[lower]))
+    m = len(ends) // 2
+    # The rounds use 4m floats of scratch and the stopping check of a block
+    # uses _BLOCK * n; they never run at once, so they share one buffer.
+    scratch = np.empty(max(4 * m, _BLOCK * n))
+    gathered, terms = scratch[: 2 * m], scratch[2 * m : 4 * m]
+    x_v, x_u, to_v, to_u = gathered[:m], gathered[m:], terms[:m], terms[m:]
+    steps = scratch[: _BLOCK * n].reshape(_BLOCK, n)
+    # A recorded trace keeps views of a fresh block per block. Otherwise one
+    # buffer serves every block, its row 0 a copy of the state before it.
+    buffer = np.empty((_BLOCK + 1, n)) if trace is None else None
+    residuals: list[float] = []
+    spread_tolerance = cfg.spread_tolerance
+    top = float(np.abs(x).max())
+    if math.isfinite(top):
+        spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
+
+    stop_reason = None
+    # Divergent runs overflow to inf and nan, then stop on the non-finite
+    # residual, so the floating-point warnings carry nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(x.max() - x.min()) <= spread_tolerance:
+            stop_reason = "spread"
+        while stop_reason is None and len(residuals) < cfg.max_iterations:
+            count = min(_BLOCK, cfg.max_iterations - len(residuals))
+            if buffer is None:
+                rows = np.empty((count, n))
+            else:
+                buffer[0] = x
+                x, rows = buffer[0], buffer[1 : count + 1]
+            prev = x
+            for row in rows:
+                # Indices are in range by construction; mode="clip" only
+                # spares take() the buffered copy that mode="raise" makes.
+                x.take(ends, out=gathered, mode="clip")
+                np.subtract(x_u, x_v, out=to_v)
+                np.subtract(x_v, x_u, out=to_u)
+                total = np.bincount(ends, weights=terms, minlength=n)
+                np.multiply(scale, total, out=total)
+                np.add(x, total, out=row)
+                x = row
+
+            step = steps[:count]
+            np.subtract(rows[0], prev, out=step[0])
+            np.subtract(rows[1:], rows[:-1], out=step[1:])
+            # fmax skips nan steps, as the scalar `step > resid` test does.
+            resids = np.fmax.reduce(np.abs(step, out=step), axis=1, initial=0.0).tolist()
+            spreads = (rows.max(axis=1) - rows.min(axis=1)).tolist()
+            for k, (resid, spread) in enumerate(zip(resids, spreads)):
+                if not math.isfinite(resid):
+                    stop_reason = "nonfinite"
+                elif resid <= cfg.step_tolerance:
+                    stop_reason = "step"
+                elif spread <= spread_tolerance:
+                    stop_reason = "spread"
+                else:
+                    continue
+                count = k + 1
+                break
+            residuals += resids[:count]
+            if trace is not None:
+                trace.extend(rows[:count])
+            x = rows[count - 1]
+    # A copy, so that the buffers are freed before the caller lists x.
+    return x.copy(), residuals, stop_reason or "cap"
 
 
 def min_consensus(

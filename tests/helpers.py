@@ -4,6 +4,7 @@ plain-loop reference forms that faster code is pinned against."""
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -107,6 +108,66 @@ def reference_min_consensus(g: Graph, x0, max_rounds: int) -> tuple[list[float],
             return x, r
         x = new
     raise RuntimeError("reference min-consensus did not stabilize")
+
+
+def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
+    """engine.wac_run with one gather per orientation and the stopping
+    rule checked after every round. Returns the fields of ConsensusRun
+    that it computes; it does not record a stop reason."""
+    cfg = cfg or engine.ConsensusConfig()
+    if len(x0) != g.node_count or len(w) != g.node_count:
+        raise engine.ConfigurationError("x0/w length must equal node count")
+    delta = engine.max_step_size(w, g)
+    eps = engine.resolve_epsilon(cfg, delta)
+
+    src, dst = (a.copy() for a in g.edge_arrays)
+    x = np.array(x0, dtype=float)
+    scale = eps / np.array(w, dtype=float)
+    diff = np.empty(len(dst))
+    trace = [x] if cfg.record_trace else None
+    residuals: list[float] = []
+    spread_tolerance = cfg.spread_tolerance
+    top = float(np.abs(x).max())
+    if math.isfinite(top):
+        spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
+
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        converged = float(x.max() - x.min()) <= spread_tolerance
+        while not converged and iterations < cfg.max_iterations:
+            x.take(dst, out=diff, mode="clip")
+            diff -= x.take(src, mode="clip")
+            new = x + scale * np.bincount(src, weights=diff, minlength=len(x))
+            resid = float(np.fmax.reduce(np.abs(new - x), initial=0.0))
+            x = new
+            iterations += 1
+            residuals.append(resid)
+            if trace is not None:
+                trace.append(x)
+            if not math.isfinite(resid):
+                break
+            converged = (
+                resid <= cfg.step_tolerance
+                or float(x.max() - x.min()) <= spread_tolerance
+            )
+
+    final = x.tolist()
+    value = math.nan
+    if all(map(math.isfinite, final)):
+        try:
+            value = math.fsum(final) / len(final)
+        except OverflowError:
+            value = math.fsum(v / len(final) for v in final)
+    return SimpleNamespace(
+        final_states=final,
+        iterations_used=iterations,
+        converged=converged and math.isfinite(value),
+        consensus_value=value,
+        epsilon=eps,
+        max_step_bound=delta,
+        trace=trace,
+        residual_trace=residuals,
+    )
 
 
 def reference_normalized_weight_matrix(g: Graph, w, epsilon: float) -> np.ndarray:

@@ -418,6 +418,36 @@ class TestRunExperiment:
             copied = (out / f"{copy}_trace.csv").read_bytes()
             assert copied == (out / f"{first}_trace.csv").read_bytes()
 
+    def test_traces_released_once_written(self, triangle_files, tmp_path, monkeypatch):
+        runs = []
+        real_metric = cli._run_metric
+
+        def run_metric(*args):
+            value, alphas, stages = real_metric(*args)
+            runs.extend(run for _, run in stages)
+            return value, alphas, stages
+
+        held = []
+        real_report = cli.spectral.spectral_report
+
+        def report(g, w, epsilon):
+            held.append([run.trace is not None for run in runs])
+            return real_report(g, w, epsilon)
+
+        monkeypatch.setattr(cli, "_run_metric", run_metric)
+        monkeypatch.setattr(cli.spectral, "spectral_report", report)
+        edges, attrs = triangle_files
+        out = tmp_path / "out"
+        assert main([
+            "--edges", str(edges), "--attrs", str(attrs), "--analyze",
+            "--shift", "10", "--out", str(out),
+        ]) == 0
+        assert held and not any(any(h) for h in held)
+        assert len(runs) == 6 and all(run.trace is None for run in runs)
+        for name in ("stage2", "shifted/stage2"):
+            lines = (out / f"{name}_trace.csv").read_text().splitlines()
+            assert len(lines) > 3
+
     def test_absent_flags_keep_config_defaults(self):
         args = build_parser().parse_args(["--edges", "e.txt", "--attrs", "a.txt"])
         assert config_from_args(args) == ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")

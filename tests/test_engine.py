@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics import cli
+from linkmetrics import cli, engine
 from linkmetrics.engine import (
     ConfigurationError,
     ConsensusConfig,
@@ -29,6 +29,7 @@ from helpers import (
     preferential_attachment,
     reference_min_consensus,
     reference_neighbor_weight_sums,
+    reference_wac_run,
     star,
     triangle,
 )
@@ -374,6 +375,125 @@ class TestEdgeArrayKernels:
         states, used = min_consensus(g, x0, rounds)
         ref_states, ref_used = reference_min_consensus(g, x0, rounds)
         assert (_bits(states), used) == (_bits(ref_states), ref_used)
+
+
+def _raw_bits(values):
+    """The IEEE bit patterns, so that the sign of a zero or a nan counts."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _assert_same_run(run, ref):
+    assert run.iterations_used == ref.iterations_used
+    assert run.converged == ref.converged
+    assert _raw_bits(run.final_states) == _raw_bits(ref.final_states)
+    assert _raw_bits(run.residual_trace) == _raw_bits(ref.residual_trace)
+    assert _raw_bits([run.consensus_value]) == _raw_bits([ref.consensus_value])
+    if ref.trace is None:
+        assert run.trace is None
+    else:
+        assert [_raw_bits(r) for r in run.trace] == [_raw_bits(r) for r in ref.trace]
+
+
+_SPECIAL_STATES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1.7e308]
+)
+_TOLERANCES = st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 100.0])
+
+
+class TestBlockedRounds:
+    """wac_run runs its rounds in blocks and checks the stopping rule once
+    per block; it equals the per-round loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_graphs(), st.data())
+    def test_matches_per_round_reference(self, g, data):
+        n = g.node_count
+        x0 = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            x0[data.draw(st.integers(0, n - 1))] = data.draw(_SPECIAL_STATES)
+        w = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        fraction = data.draw(st.sampled_from([None, 0.5, 1.9, 2.5]))
+        epsilon = None if fraction is None else fraction * max_step_size(w, g)
+        settings_ = dict(
+            epsilon=epsilon,
+            allow_unstable_epsilon=True,
+            step_tolerance=data.draw(_TOLERANCES),
+            spread_tolerance=data.draw(_TOLERANCES),
+            record_trace=data.draw(st.booleans()),
+        )
+        # Every cap from 1 to the end of the third block.
+        for cap in range(1, 3 * engine._BLOCK + 1):
+            cfg = ConsensusConfig(max_iterations=cap, **settings_)
+            _assert_same_run(wac_run(g, x0, w, cfg), reference_wac_run(g, x0, w, cfg))
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("rule", ["step", "spread"])
+    @pytest.mark.parametrize("stop", [engine._BLOCK, engine._BLOCK + 1])
+    def test_stop_on_block_boundary(self, stop, rule, record):
+        # The last round of the first block, and the first of the second.
+        g, y = er_instance(3, n_lo=30, n_hi=30)
+        w = neighbor_weight_sums(g, y, 1)
+        free = reference_wac_run(g, y, w, ConsensusConfig(
+            step_tolerance=1e-300, spread_tolerance=1e-300,
+            max_iterations=3 * engine._BLOCK, record_trace=True,
+        ))
+        if rule == "step":
+            measure = free.residual_trace
+        else:
+            measure = [float(r.max() - r.min()) for r in free.trace[1:]]
+        assert min(measure[: stop - 1]) > measure[stop - 1]
+        tolerances = {f"{rule}_tolerance": measure[stop - 1]}
+        cfg = ConsensusConfig(
+            **{"step_tolerance": 1e-300, "spread_tolerance": 1e-300, **tolerances},
+            record_trace=record,
+        )
+        run = wac_run(g, y, w, cfg)
+        _assert_same_run(run, reference_wac_run(g, y, w, cfg))
+        assert run.iterations_used == stop
+        assert run.stop_reason == rule and run.converged
+
+
+class TestStopReason:
+    def test_spread(self):
+        cfg = ConsensusConfig(epsilon=0.5, step_tolerance=1e-300)
+        run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
+        assert run.stop_reason == "spread" and run.converged
+        assert max(run.final_states) - min(run.final_states) <= cfg.spread_tolerance
+
+    def test_spread_of_constant_start(self):
+        run = wac_run(cycle(5), [3.0] * 5, [2.0] * 5, ConsensusConfig(epsilon=0.5))
+        assert run.stop_reason == "spread" and run.iterations_used == 0
+
+    def test_step(self):
+        cfg = ConsensusConfig(epsilon=0.5, step_tolerance=1e-3, spread_tolerance=1e-300)
+        run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
+        assert run.stop_reason == "step" and run.converged
+        assert run.residual_trace[-1] <= 1e-3 < min(run.residual_trace[:-1])
+
+    def test_step_wins_when_both_pass(self):
+        # eps = 2/3 on a triangle of weights 2 reaches the mean in one round:
+        # spread 0.0 and step 3.0, both within tolerance.
+        cfg = ConsensusConfig(epsilon=2 / 3, step_tolerance=10.0)
+        run = wac_run(triangle(), [0.0, 3.0, 6.0], [2.0] * 3, cfg)
+        assert run.final_states == [3.0, 3.0, 3.0]
+        assert run.residual_trace == [3.0]
+        assert run.stop_reason == "step" and run.converged
+
+    def test_cap(self):
+        cfg = ConsensusConfig(
+            epsilon=0.5, max_iterations=5, step_tolerance=1e-300, spread_tolerance=1e-300,
+        )
+        run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
+        assert run.stop_reason == "cap" and not run.converged
+        assert run.iterations_used == 5
+
+    def test_nonfinite(self):
+        g = cli.generate_synthetic(200, 0.025, 42)
+        y = cli.generate_attributes(g, 5.0, 42)
+        cfg = ConsensusConfig(epsilon=2.5, allow_unstable_epsilon=True)
+        run = wac_run(g, y, [float(d) for d in g.degrees], cfg)
+        assert run.stop_reason == "nonfinite" and not run.converged
+        assert run.iterations_used == 582 and run.residual_trace[-1] == math.inf
 
 
 def distributed_delta1(g, y):
