@@ -182,12 +182,12 @@ class ExperimentConfig:
             raise ValueError("choose exactly one graph source (--edges or --er)")
         if (self.attrs_path is None) == (self.exp_mean is None):
             raise ValueError("choose exactly one attribute source (--attrs or --exp-mean)")
-        if (self.er_n is not None or self.exp_mean is not None) and self.seed is None:
-            raise ValueError("--seed is mandatory for synthetic sources")
+        if (self.er_n is not None or self.exp_mean is not None) != (self.seed is not None):
+            raise ValueError("--seed is mandatory for synthetic sources and unused otherwise")
         if self.metric not in ("tv", "poly"):
             raise ValueError("metric must be 'tv' or 'poly'")
-        if self.metric == "poly" and self.spec_path is None:
-            raise ValueError("--metric poly requires --spec PATH")
+        if (self.metric == "poly") != (self.spec_path is not None):
+            raise ValueError("--metric poly and --spec PATH go together")
         if self.shift is not None:
             # The shift study compares the WAC1 bound Delta1 of total variation.
             if self.metric != "tv":
@@ -308,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         # The report depends on (w, epsilon) alone; stages that share them share it.
         reports: dict[tuple, spectral.SpectralReport] = {}
         for name, run in stages:
-            key = (tuple(run.weights), run.epsilon)
+            key = (run.weights.tobytes(), run.epsilon)
             if key not in reports:
                 reports[key] = spectral.spectral_report(g, run.weights, run.epsilon)
             report = reports[key]

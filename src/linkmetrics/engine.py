@@ -16,7 +16,7 @@ the rounds a block computed past the stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,27 +59,29 @@ class ConsensusConfig:
             raise ConfigurationError("max_iterations must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class ConsensusRun:
     """Outcome of one weighted-average-consensus iteration: the weights w
-    it ran with, its step size and its stability bound min_i w_i/d_i."""
+    it ran with, its step size and its stability bound min_i w_i/d_i.
+    Node vectors are 1-D float64 arrays, so runs compare by identity."""
 
-    final_states: list[float]
+    final_states: np.ndarray
     iterations_used: int
     converged: bool
     consensus_value: float
     epsilon: float
     max_step_bound: float
-    weights: list[float]
+    weights: np.ndarray
     stop_reason: str
     """The test that ended the run: "step", "spread", "cap" (max_iterations
     reached) or "nonfinite" (a round's step was not finite)."""
+    residual_trace: np.ndarray
+    """Each round's largest per-node step, as float64; nothing writes it out yet."""
     trace: list[np.ndarray] | None = None
     """With `record_trace`, one 1-D float64 row of N states per round:
     row k is x(k) and row 0 is x(0). Rows after the first are views of the
     blocks the iteration computed, kept without a copy; share them, but
     never write to them."""
-    residual_trace: list[float] = field(default_factory=list)
 
 
 def validate_positive(values: Sequence[float], name: str) -> None:
@@ -97,20 +99,21 @@ def max_step_size(w: Sequence[float], g: Graph) -> float:
     validate_positive(w, "w")
     if len(w) != g.node_count:
         raise ConfigurationError("weight vector length mismatch")
-    x0 = [wi / di for wi, di in zip(w, g.degrees)]
-    states, _ = min_consensus(g, x0, max(1, g.node_count - 1))
-    return states[0]
+    # Both float64: an int64 divisor would be cast through ufunc buffers.
+    ratios = np.asarray(w, dtype=float) / np.array(g.degrees, dtype=float)
+    return min_consensus(g, ratios, max(1, g.node_count - 1))[0][0]
 
 
 def node_powers(
     y: Sequence[float], k: int, power: Callable[[float, int], float] = pow
-) -> list[float]:
-    """power(y_i, k) for every node i: the y_i**k a stage takes as input.
+) -> np.ndarray:
+    """power(y_i, k) for every node i as a float64 array: the y_i**k a stage
+    takes as input. By default libm's pow, which np.power does not match.
 
     A power that overflows or is not finite raises ValueError naming the
     node and the exponent; one that underflows to 0.0 is kept.
     """
-    out = []
+    out = np.empty(len(y))
     for i, v in enumerate(y):
         try:
             p = power(v, k)
@@ -118,20 +121,19 @@ def node_powers(
             p = math.inf
         if not math.isfinite(p):
             raise ValueError(f"node {i}: attribute {v!r} to the power {k} is not finite")
-        out.append(p)
+        out[i] = p
     return out
 
 
-def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> list[float]:
-    """w_i = sum over neighbors j of y_j**k, in ascending neighbor order."""
+def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> np.ndarray:
+    """w_i = sum over neighbors j of y_j**k in ascending neighbor order, as float64."""
     if k < 0:
         raise ValueError("exponent k must be >= 0")
     validate_positive(y, "y")
     if any(d == 0 for d in g.degrees):
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
     src, dst = g.edge_arrays
-    yk = np.array(node_powers(y, k))
-    return np.bincount(src, weights=yk[dst], minlength=g.node_count).tolist()
+    return np.bincount(src, weights=node_powers(y, k)[dst], minlength=g.node_count)
 
 
 def exact_consensus_target(x0: Sequence[float], w: Sequence[float]) -> float:
@@ -208,15 +210,15 @@ def wac_run(
     eps = resolve_epsilon(cfg, delta)
 
     x = np.array(x0, dtype=float)
+    weights = np.array(w, dtype=float)
     trace: list[np.ndarray] | None = [x] if cfg.record_trace else None
-    x, residuals, stop_reason = _iterate(g, x, eps / np.array(w, dtype=float), cfg, trace)
-    final = x.tolist()
+    final, residuals, stop_reason = _iterate(g, x, eps / weights, cfg, trace)
     value = math.nan
-    if all(map(math.isfinite, final)):
+    if np.isfinite(final).all():
         try:
             value = math.fsum(final) / len(final)
         except OverflowError:  # the sum leaves the float range, the mean need not
-            value = math.fsum(v / len(final) for v in final)
+            value = math.fsum(final / len(final))
     return ConsensusRun(
         final_states=final,
         iterations_used=len(residuals),
@@ -224,10 +226,10 @@ def wac_run(
         consensus_value=value,
         epsilon=eps,
         max_step_bound=delta,
-        weights=list(w),
+        weights=weights,
         stop_reason=stop_reason,
-        trace=trace,
         residual_trace=residuals,
+        trace=trace,
     )
 
 
@@ -237,7 +239,7 @@ def _iterate(
     scale: np.ndarray,
     cfg: ConsensusConfig,
     trace: list[np.ndarray] | None,
-) -> tuple[np.ndarray, list[float], str]:
+) -> tuple[np.ndarray, np.ndarray, str]:
     """The rounds of `wac_run` from state x with per-node scale eps / w_i:
     the final state, every round's residual and the stop reason. Appends
     the rounds to `trace` unless it is None."""
@@ -257,7 +259,7 @@ def _iterate(
     # A recorded trace keeps views of a fresh block per block. Otherwise one
     # buffer serves every block, its row 0 a copy of the state before it.
     buffer = np.empty((_BLOCK + 1, n)) if trace is None else None
-    residuals: list[float] = []
+    residuals, used = np.empty(_BLOCK), 0  # doubled when full
     spread_tolerance = cfg.spread_tolerance
     top = float(np.abs(x).max())
     if math.isfinite(top):
@@ -269,8 +271,8 @@ def _iterate(
     with np.errstate(over="ignore", invalid="ignore"):
         if float(x.max() - x.min()) <= spread_tolerance:
             stop_reason = "spread"
-        while stop_reason is None and len(residuals) < cfg.max_iterations:
-            count = min(_BLOCK, cfg.max_iterations - len(residuals))
+        while stop_reason is None and used < cfg.max_iterations:
+            count = min(_BLOCK, cfg.max_iterations - used)
             if buffer is None:
                 rows = np.empty((count, n))
             else:
@@ -292,9 +294,9 @@ def _iterate(
             np.subtract(rows[0], prev, out=step[0])
             np.subtract(rows[1:], rows[:-1], out=step[1:])
             # fmax skips nan steps, as the scalar `step > resid` test does.
-            resids = np.fmax.reduce(np.abs(step, out=step), axis=1, initial=0.0).tolist()
-            spreads = (rows.max(axis=1) - rows.min(axis=1)).tolist()
-            for k, (resid, spread) in enumerate(zip(resids, spreads)):
+            resids = np.fmax.reduce(np.abs(step, out=step), axis=1, initial=0.0)
+            spreads = rows.max(axis=1) - rows.min(axis=1)
+            for k, (resid, spread) in enumerate(zip(resids.tolist(), spreads.tolist())):
                 if not math.isfinite(resid):
                     stop_reason = "nonfinite"
                 elif resid <= cfg.step_tolerance:
@@ -305,12 +307,15 @@ def _iterate(
                     continue
                 count = k + 1
                 break
-            residuals += resids[:count]
+            if used + count > len(residuals):
+                residuals = np.concatenate((residuals, np.empty_like(residuals)))
+            residuals[used : used + count] = resids[:count]
+            used += count
             if trace is not None:
                 trace.extend(rows[:count])
             x = rows[count - 1]
-    # A copy, so that the buffers are freed before the caller lists x.
-    return x.copy(), residuals, stop_reason or "cap"
+    # Copies, so that the run keeps no view of the buffers.
+    return x.copy(), residuals[:used].copy(), stop_reason or "cap"
 
 
 def min_consensus(

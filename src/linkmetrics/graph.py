@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def from_edges(n: int, edges, original_ids=None) -> Graph:
     )
 
 
-def parse_edge_list(source: str | bytes | IO) -> Graph:
+def parse_edge_list(source: str | bytes) -> Graph:
     """Parse a SNAP-style edge list into a Graph.
 
     Lines starting with '#' are comments; data lines hold two
@@ -100,8 +100,6 @@ def parse_edge_list(source: str | bytes | IO) -> Graph:
     densely in first-appearance order; duplicate edges (in either
     orientation) are collapsed.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
 
@@ -204,11 +202,7 @@ def diameter(g: Graph) -> int:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Dense Laplacian L = D - A as float64 (built from exact integers)."""
-    n = g.node_count
-    lap = [[0] * n for _ in range(n)]
-    for i, nbrs in enumerate(g.adjacency):
-        lap[i][i] = g.degrees[i]
-        for j in nbrs:
-            lap[i][j] = -1
-    return np.array(lap, dtype=float)
+    """Dense Laplacian L = D - A as float64."""
+    lap = np.diag(np.array(g.degrees, dtype=float))
+    lap[g.edge_arrays] = -1.0
+    return lap

@@ -113,7 +113,7 @@ def _stage(
     w = engine.neighbor_weight_sums(g, y, k)  # validates y
     x0 = engine.node_powers(y, l, power)
     # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
-    if not math.isfinite(max(g.degrees) * max(x0)):
+    if not math.isfinite(max(g.degrees) * float(x0.max())):
         raise ValueError(f"stage S({l},{k}): largest degree times largest y**{l} overflows")
     return engine.wac_run(g, x0, w, cfg)
 

@@ -101,16 +101,16 @@ def _inbox_getter(nbrs: Sequence[int]) -> Callable[[list[Any]], tuple[Any, ...]]
 def make_wac_program(w: Sequence[float], epsilon: float) -> NodeProgram:
     """Weighted-average-consensus node program.
 
-    Node state is (x, scale) with scale = epsilon / w_i; the broadcast
-    message is the bare state value. The update is
-    engine.wac_step_value, the per-node form of engine.wac_run's round.
+    Node state is (x, epsilon / w_i) as Python floats, so that repr() prints
+    plain floats; the broadcast message is the bare state value. The update
+    is engine.wac_step_value, the per-node form of engine.wac_run's round.
     """
     engine.validate_positive(w, "w")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
     def init(node_id, degree, x0):
-        state = (float(x0), epsilon / w[node_id])
+        state = (float(x0), epsilon / float(w[node_id]))
         return state, state[0]
 
     def on_round(state, msgs):

@@ -37,10 +37,11 @@ def normalized_weight_matrix(g: Graph, w: Sequence[float], epsilon: float) -> np
     The upper triangle is computed and mirrored, so symmetry is exact.
     """
     engine.validate_positive(w, "w")
-    inv = 1.0 / np.sqrt(np.array(w, dtype=float))
+    inv = 1.0 / np.sqrt(np.asarray(w, dtype=float))
     m = np.zeros((g.node_count, g.node_count))
     np.fill_diagonal(m, 1.0 - epsilon * np.array(g.degrees) * inv * inv)
-    i, j = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
+    src, dst = g.edge_arrays
+    i, j = src[src < dst], dst[src < dst]
     m[i, j] = m[j, i] = epsilon * inv[i] * inv[j]
     return m
 

@@ -339,6 +339,30 @@ class TestRunExperiment:
         ])
         assert code == 1
 
+    def test_spec_without_poly_rejected(self, triangle_files, tmp_path, capsys):
+        edges, attrs = triangle_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 1 1.0\n")
+        out = tmp_path / "o"
+        code = main([
+            "--edges", str(edges), "--attrs", str(attrs), "--spec", str(spec),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "--spec" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_seed_without_synthetic_source_rejected(self, triangle_files, tmp_path, capsys):
+        edges, attrs = triangle_files
+        out = tmp_path / "o"
+        code = main([
+            "--edges", str(edges), "--attrs", str(attrs), "--seed", "3",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("shift", [math.inf, math.nan, 0.0])
     def test_shift_must_be_positive_and_finite(self, shift):
         with pytest.raises(ValueError, match="--shift"):

@@ -74,14 +74,15 @@ class TestMaxStepSize:
 
 class TestNeighborWeightSums:
     def test_triangle_k1(self):
-        assert neighbor_weight_sums(triangle(), [1.0, 2.0, 3.0], 1) == [5.0, 4.0, 3.0]
+        assert neighbor_weight_sums(triangle(), [1.0, 2.0, 3.0], 1).tolist() == [5.0, 4.0, 3.0]
 
     def test_k0_is_degrees(self):
         g = path(4)
-        assert neighbor_weight_sums(g, [7.0, 1.0, 9.0, 2.0], 0) == list(map(float, g.degrees))
+        w = neighbor_weight_sums(g, [7.0, 1.0, 9.0, 2.0], 0)
+        assert w.tolist() == list(map(float, g.degrees))
 
     def test_p3_k2(self):
-        assert neighbor_weight_sums(path(3), [1.0, 2.0, 3.0], 2) == [4.0, 10.0, 4.0]
+        assert neighbor_weight_sums(path(3), [1.0, 2.0, 3.0], 2).tolist() == [4.0, 10.0, 4.0]
 
     def test_isolated_node_rejected(self):
         with pytest.raises(IsolatedNodeError):
@@ -90,7 +91,7 @@ class TestNeighborWeightSums:
 
 class TestNodePowers:
     def test_powers(self):
-        assert node_powers([2.0, 3.0, 0.5], 3) == [8.0, 27.0, 0.125]
+        assert node_powers([2.0, 3.0, 0.5], 3).tolist() == [8.0, 27.0, 0.125]
 
     def test_overflow_names_node_and_exponent(self):
         with pytest.raises(ValueError, match=r"node 1: .*1e\+200.* power 2\b"):
@@ -102,7 +103,7 @@ class TestNodePowers:
             node_powers([1e200], 2, lambda v, _: v * v)
 
     def test_underflow_to_zero_kept(self):
-        assert node_powers([1e-170, 2.0], 2) == [0.0, 4.0]
+        assert node_powers([1e-170, 2.0], 2).tolist() == [0.0, 4.0]
 
     def test_neighbor_sum_overflow_is_value_error(self):
         with pytest.raises(ValueError, match="power 2"):
@@ -160,7 +161,7 @@ class TestWacRun:
         # A buffer reused across rounds would be the same object in every row.
         assert len({id(r) for r in run.trace}) == len(run.trace)
         assert run.trace[0].tolist() == y
-        assert run.trace[-1].tolist() == run.final_states
+        assert run.trace[-1].tolist() == run.final_states.tolist()
 
     def test_constant_start_is_fixed_point(self):
         run = wac_run(cycle(5), [3.0] * 5, [2.0] * 5, ConsensusConfig(epsilon=0.5))
@@ -217,7 +218,7 @@ class TestWacRun:
     def test_run_records_its_weights(self):
         w = [5.0, 4.0, 3.0]
         run = wac_run(triangle(), [1.0, 2.0, 3.0], w)
-        assert run.weights == w
+        assert run.weights.tolist() == w
         assert run.max_step_bound == max_step_size(w, triangle())
 
     def test_disconnected_rejected(self):
@@ -453,6 +454,40 @@ class TestBlockedRounds:
         assert run.stop_reason == rule and run.converged
 
 
+def _is_float64_vector(a, size):
+    return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (size,)
+
+
+class TestArrayRecords:
+    """Stage inputs and run records are 1-D float64 arrays."""
+
+    def test_run_fields(self):
+        cfg = ConsensusConfig(epsilon=0.5)
+        run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
+        assert _is_float64_vector(run.final_states, 6)
+        assert _is_float64_vector(run.weights, 6)
+        assert _is_float64_vector(run.residual_trace, run.iterations_used)
+
+    def test_stage_inputs(self):
+        assert _is_float64_vector(neighbor_weight_sums(triangle(), [1.0, 2.0, 3.0], 1), 3)
+        assert _is_float64_vector(node_powers([2.0, 3.0], 2), 2)
+
+    def test_held_run_costs_8_bytes_a_round(self):
+        # Stage S(1,1) of desk scale, untraced, runs thousands of rounds.
+        g = cli.generate_synthetic(200, 0.025, 42)
+        y = cli.generate_attributes(g, 5.0, 42)
+        w = neighbor_weight_sums(g, y, 1)
+        wac_run(g, y, w)  # builds Graph.edge_arrays
+        tracemalloc.start()
+        try:
+            run = wac_run(g, y, w)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.iterations_used > 1000
+        assert held <= 8 * run.iterations_used + 64 * g.node_count + 4096
+
+
 class TestStopReason:
     def test_spread(self):
         cfg = ConsensusConfig(epsilon=0.5, step_tolerance=1e-300)
@@ -475,7 +510,7 @@ class TestStopReason:
         # spread 0.0 and step 3.0, both within tolerance.
         cfg = ConsensusConfig(epsilon=2 / 3, step_tolerance=10.0)
         run = wac_run(triangle(), [0.0, 3.0, 6.0], [2.0] * 3, cfg)
-        assert run.final_states == [3.0, 3.0, 3.0]
+        assert run.final_states.tolist() == [3.0, 3.0, 3.0]
         assert run.residual_trace == [3.0]
         assert run.stop_reason == "step" and run.converged
 

@@ -218,7 +218,7 @@ class TestSharedStages:
             assert (t.alpha_1lk, t.alpha_2lk, t.h_lk) == (r.alpha_1lk, r.alpha_2lk, r.h_lk)
             for a, b in zip(t.runs, r.runs):
                 assert a.iterations_used == b.iterations_used
-                assert a.final_states == b.final_states
+                assert a.final_states.tolist() == b.final_states.tolist()
 
 
 def _contract_instance(kind, seed):

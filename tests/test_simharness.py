@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics.engine import ConsensusConfig, neighbor_weight_sums, wac_run
+from linkmetrics import cli
+from linkmetrics.engine import ConsensusConfig, max_step_size, neighbor_weight_sums, wac_run
 from linkmetrics.graph import from_edges
 from linkmetrics.simharness import (
     NodeProgram,
@@ -194,6 +196,25 @@ class TestCrossValidation:
         g, y, w = instance
         harness, engine = engine_and_harness_traces(g, y, w, rounds=25)
         assert harness == engine
+
+    def test_array_weights_give_python_float_states(self, tmp_path):
+        # The trace CSV holds repr() of each state, and the repr of a NumPy
+        # scalar is 'np.float64(...)'.
+        g, y = er_instance(4, n_lo=10, n_hi=20)
+        w = neighbor_weight_sums(g, y, 1)
+        eps = 0.9 * max_step_size(w, g)
+        cfg = ConsensusConfig(
+            epsilon=eps, max_iterations=5, record_trace=True,
+            step_tolerance=1e-300, spread_tolerance=1e-300,
+        )
+        run = wac_run(g, y, w, cfg)
+        csv = tmp_path / "trace.csv"
+        cli._write_trace_csv(csv, run.trace)
+        tokens = [line.rsplit(",", 1)[1] for line in csv.read_text().splitlines()[1:]]
+        trace = run_synchronous(g, make_wac_program(np.asarray(w), eps), y, max_rounds=5)
+        values = [v for snap in trace.state_values() for v in snap]
+        assert all(type(v) is float for v in values)
+        assert [repr(v) for v in values] == tokens
 
     def test_locality_audit(self):
         g, y = er_instance(1, n_lo=20, n_hi=40)
