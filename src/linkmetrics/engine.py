@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,11 +104,10 @@ def max_step_size(w: Sequence[float], g: Graph) -> float:
     return min_consensus(g, ratios, max(1, g.node_count - 1))[0][0]
 
 
-def node_powers(
-    y: Sequence[float], k: int, power: Callable[[float, int], float] = pow
-) -> np.ndarray:
-    """power(y_i, k) for every node i as a float64 array: the y_i**k a stage
-    takes as input. By default libm's pow, which np.power does not match.
+def node_powers(y: Sequence[float], k: int) -> np.ndarray:
+    """y_i**k for every node i as a float64 array: the power a stage takes
+    as input. Squares are v * v, which is correctly rounded; other powers
+    are libm's pow, which np.power does not match.
 
     A power that overflows or is not finite raises ValueError naming the
     node and the exponent; one that underflows to 0.0 is kept.
@@ -116,7 +115,7 @@ def node_powers(
     out = np.empty(len(y))
     for i, v in enumerate(y):
         try:
-            p = power(v, k)
+            p = v * v if k == 2 else pow(v, k)
         except OverflowError:
             p = math.inf
         if not math.isfinite(p):
@@ -256,9 +255,6 @@ def _iterate(
     gathered, terms = scratch[: 2 * m], scratch[2 * m : 4 * m]
     x_v, x_u, to_v, to_u = gathered[:m], gathered[m:], terms[:m], terms[m:]
     steps = scratch[: _BLOCK * n].reshape(_BLOCK, n)
-    # A recorded trace keeps views of a fresh block per block. Otherwise one
-    # buffer serves every block, its row 0 a copy of the state before it.
-    buffer = np.empty((_BLOCK + 1, n)) if trace is None else None
     residuals, used = np.empty(_BLOCK), 0  # doubled when full
     spread_tolerance = cfg.spread_tolerance
     top = float(np.abs(x).max())
@@ -273,11 +269,8 @@ def _iterate(
             stop_reason = "spread"
         while stop_reason is None and used < cfg.max_iterations:
             count = min(_BLOCK, cfg.max_iterations - used)
-            if buffer is None:
-                rows = np.empty((count, n))
-            else:
-                buffer[0] = x
-                x, rows = buffer[0], buffer[1 : count + 1]
+            # A fresh block each time, so a recorded trace can keep its rows.
+            rows = np.empty((count, n))
             prev = x
             for row in rows:
                 # Indices are in range by construction; mode="clip" only

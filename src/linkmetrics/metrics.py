@@ -3,9 +3,10 @@
 Every stage is one weighted-average-consensus run S(l, k): node i starts
 from y_i**l with weight w_i = sum over neighbors j of y_j**k (its degree
 for k = 0), and `engine.wac_run` agrees the step bound min_i w_i/d_i by
-min-consensus. Total variation is S(2,0), S(1,1), S(1,0); each term
-(l, k) of a sparse polynomial of pair-wise attributes is S(l,k), S(k,0),
-and terms that share a stage share its one run.
+min-consensus. Each term (l, k) of a sparse polynomial of pair-wise
+attributes is S(l,k), S(k,0), and terms that share a stage share its one
+run. Total variation is the polynomial (u - v)**2, folded by the symmetry
+of the edge average to 2u**2 - 2uv: S(2,0), S(0,0), S(1,1), S(1,0).
 Every per-node stage input is strictly local (own degree, own attribute
 powers, neighbor attribute sums); neither the edge count nor any other
 global aggregate enters a stage.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import engine
 from .engine import ConsensusConfig, ConsensusRun
@@ -93,10 +94,6 @@ class PolyTermResult:
     h_lk: float
     runs: tuple[ConsensusRun, ConsensusRun]
 
-    @property
-    def converged(self) -> bool:
-        return all(r.converged for r in self.runs)
-
 
 def shift_attributes(y: Sequence[float], c: float) -> list[float]:
     """Add a positive constant to every attribute (preserves positivity)."""
@@ -106,12 +103,11 @@ def shift_attributes(y: Sequence[float], c: float) -> list[float]:
 
 
 def _stage(
-    g: Graph, y: Sequence[float], l: int, k: int, cfg: ConsensusConfig | None,
-    power: Callable[[float, int], float] = pow,
+    g: Graph, y: Sequence[float], l: int, k: int, cfg: ConsensusConfig | None
 ) -> ConsensusRun:
-    """Stage S(l, k): states power(y_i, l), weights the neighbor sums of y_j**k."""
+    """Stage S(l, k): states y_i**l, weights the neighbor sums of y_j**k."""
     w = engine.neighbor_weight_sums(g, y, k)  # validates y
-    x0 = engine.node_powers(y, l, power)
+    x0 = engine.node_powers(y, l)
     # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
     if not math.isfinite(max(g.degrees) * float(x0.max())):
         raise ValueError(f"stage S({l},{k}): largest degree times largest y**{l} overflows")
@@ -125,25 +121,26 @@ def _finite(value: float, alphas: Sequence[float], name: str) -> float:
     return value
 
 
+# (u - v)**2 averaged over edges, with v**2 folded into u**2 by symmetry.
+_FOLDED_TV = MetricSpec(terms=((2, 0, 2.0), (1, 1, -2.0)))
+
+
 def total_variation_pipeline(
     g: Graph, y: Sequence[float], cfg: ConsensusConfig | None = None
 ) -> TVResult:
-    """Three-stage consensus computation of the total variation.
+    """Total variation as the polynomial metric 2u**2 - 2uv.
 
-    Stage 1 S(2,0): squared attributes, degree weights. Stage 2 (WAC1)
-    S(1,1): attributes, neighbor attribute sums as weights. Stage 3 (WAC2)
-    S(1,0): attributes, degree weights. The metric is
-    2*alpha1 - 2*alpha2*alpha3.
+    Its runs are S(2,0), S(0,0), S(1,1) and S(1,0). S(0,0) starts at
+    consensus and ends at round 0 with value exactly 1.0, so the metric
+    is 2*alpha1 - 2*alpha2*alpha3, rounded once. The result keeps the
+    three other stages: stage 1 S(2,0), squared attributes with degree
+    weights; stage 2 (WAC1) S(1,1), attributes with neighbor attribute
+    sums as weights; stage 3 (WAC2) S(1,0), attributes with degree weights.
     """
-    runs = (
-        # v * v is correctly rounded; libm's pow(v, 2) is not always.
-        _stage(g, y, 2, 0, cfg, power=lambda v, _: v * v),
-        _stage(g, y, 1, 1, cfg),
-        _stage(g, y, 1, 0, cfg),
-    )
-    a1, a2, a3 = alphas = [r.consensus_value for r in runs]
-    tv = _finite(2.0 * a1 - 2.0 * a2 * a3, alphas, "total variation")
-    return TVResult(a1, a2, a3, tv, runs)
+    squares, cross = terms = polynomial_metric_terms(g, y, _FOLDED_TV, cfg)
+    runs = (squares.runs[0], *cross.runs)
+    alphas = (squares.alpha_1lk, cross.alpha_1lk, cross.alpha_2lk)
+    return TVResult(*alphas, polynomial_metric_value(terms), runs)
 
 
 def polynomial_metric_terms(

@@ -46,18 +46,6 @@ def normalized_weight_matrix(g: Graph, w: Sequence[float], epsilon: float) -> np
     return m
 
 
-def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
-    """All eigenvalues of a symmetric matrix, sorted descending."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return sorted((float(v) for v in np.linalg.eigvalsh(a)), reverse=True)
-
-
 def convergence_factor(eigenvalues: Sequence[float]) -> float:
     """rho = max(|lambda_2|, |lambda_N|) for eigenvalues sorted descending."""
     if len(eigenvalues) < 2:
@@ -66,7 +54,9 @@ def convergence_factor(eigenvalues: Sequence[float]) -> float:
 
 
 def spectral_report(g: Graph, w: Sequence[float], epsilon: float) -> SpectralReport:
-    eigs = symmetric_eigenvalues(normalized_weight_matrix(g, w, epsilon))
+    """Eigenvalues of P, sorted descending, and rho. P is symmetric by
+    construction and goes to `eigvalsh` as built, without a copy."""
+    eigs = np.linalg.eigvalsh(normalized_weight_matrix(g, w, epsilon))[::-1].tolist()
     return SpectralReport(epsilon=epsilon, eigenvalues=eigs, rho=convergence_factor(eigs))
 
 

@@ -230,3 +230,18 @@ def reference_polynomial_terms(g: Graph, y, spec: metrics.MetricSpec, cfg=None):
         a1, a2 = (r.consensus_value for r in runs)
         terms.append(metrics.PolyTermResult(l, k, c, a1, a2, a1 * a2 * c, runs))
     return terms
+
+
+def reference_total_variation(g: Graph, y, cfg=None) -> SimpleNamespace:
+    """Total variation by the three-stage paper formula: S(2,0) from
+    v * v, S(1,1) and S(1,0), combined as 2*a1 - 2*a2*a3."""
+    stages = (
+        ([v * v for v in y], engine.neighbor_weight_sums(g, y, 0)),
+        (list(y), engine.neighbor_weight_sums(g, y, 1)),
+        (list(y), engine.neighbor_weight_sums(g, y, 0)),
+    )
+    runs = [engine.wac_run(g, x0, w, cfg) for x0, w in stages]
+    a1, a2, a3 = alphas = [r.consensus_value for r in runs]
+    return SimpleNamespace(
+        total_variation=2.0 * a1 - 2.0 * a2 * a3, alphas=alphas, runs=runs
+    )

@@ -23,6 +23,7 @@ from helpers import (
     path,
     preferential_attachment,
     reference_polynomial_terms,
+    reference_total_variation,
     triangle,
 )
 
@@ -52,6 +53,15 @@ class TestMetricSpec:
     def test_nonfinite_coefficient_rejected(self, coefficient):
         with pytest.raises(ValueError, match="finite"):
             parse_metric_spec(f"2 0 1.0\n1 1 {coefficient}\n")
+
+
+@st.composite
+def small_connected_graphs(draw, n):
+    """A random spanning tree on n nodes plus up to n more edges."""
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return from_edges(n, edges)
 
 
 class TestTotalVariationPipeline:
@@ -102,6 +112,35 @@ class TestTotalVariationPipeline:
         assert r.total_variation == pytest.approx(
             oracle.exact_total_variation(g, y), rel=1e-6
         )
+
+    def test_four_runs_with_s00_ending_at_round_0(self, monkeypatch):
+        seen = []
+        real = engine.wac_run
+        monkeypatch.setattr(engine, "wac_run", lambda *a: seen.append(real(*a)) or seen[-1])
+        g, y = er_instance(3, n_lo=20, n_hi=40)
+        r = total_variation_pipeline(g, y)
+        assert len(seen) == 4
+        s00 = seen[1]
+        assert s00.final_states.tolist() == [1.0] * g.node_count
+        assert s00.iterations_used == 0 and s00.consensus_value == 1.0
+        # Runs compare by identity: the result lists S(2,0), S(1,1), S(1,0).
+        assert r.runs == (seen[0], seen[2], seen[3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bits_equal_three_stage_formula(self, data):
+        n = data.draw(st.integers(2, 8))
+        g = data.draw(small_connected_graphs(n))
+        scale = 10.0 ** data.draw(st.integers(-6, 6))
+        y = [scale * v for v in data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))]
+        cfg = ConsensusConfig(max_iterations=2000)
+        got = total_variation_pipeline(g, y, cfg)
+        want = reference_total_variation(g, y, cfg)
+        assert got.total_variation.hex() == want.total_variation.hex()
+        assert [a.hex() for a in (got.alpha1, got.alpha2, got.alpha3)] == [
+            a.hex() for a in want.alphas
+        ]
+        assert [r.iterations_used for r in got.runs] == [r.iterations_used for r in want.runs]
 
 
 def one_term(g, y, l, k, c):
@@ -173,15 +212,13 @@ def spec_instances(draw):
     """A small connected graph, positive attributes and a spec of up to
     four distinct terms with exponents 0..3."""
     n = draw(st.integers(2, 8))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    g = draw(small_connected_graphs(n))
     y = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
     exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
     lks = draw(st.lists(exponents, min_size=1, max_size=4, unique=True))
     cs = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(lks), max_size=len(lks)))
     spec = MetricSpec(terms=tuple((l, k, c) for (l, k), c in zip(lks, cs)))
-    return from_edges(n, edges), y, spec
+    return g, y, spec
 
 
 class TestSharedStages:
@@ -270,10 +307,10 @@ class TestOverflowingStages:
             total_variation_pipeline(triangle(), [1.3e154, 1e-3, 2.0])
 
     def test_finite_alphas_overflowing_total_variation_rejected(self):
-        # On a single edge the squares pass the stage check, but 2*alpha1
-        # overflows.
+        # On a single edge the squares pass the stage check, but the term
+        # 2*alpha1 overflows.
         cfg = ConsensusConfig(max_iterations=200)
-        with pytest.raises(ValueError, match="total variation overflows"):
+        with pytest.raises(ValueError, match=r"term \(2,0\) overflows"):
             total_variation_pipeline(path(2), [1e154, 1.2e154], cfg)
 
     def test_finite_alphas_overflowing_term_rejected(self):

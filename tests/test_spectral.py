@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from linkmetrics import cli
 from linkmetrics.engine import ConsensusConfig, exact_consensus_target, wac_run
 from linkmetrics.graph import from_edges, laplacian
 from linkmetrics.rng import SplitMix64
@@ -12,7 +14,6 @@ from linkmetrics.spectral import (
     empirical_convergence_factor,
     normalized_weight_matrix,
     spectral_report,
-    symmetric_eigenvalues,
 )
 
 from helpers import er_instance, reference_normalized_weight_matrix, triangle
@@ -66,33 +67,34 @@ class TestNormalizedWeightMatrix:
 
 
 class TestSymmetricEigenvalues:
-    def test_rank_one(self):
-        eigs = symmetric_eigenvalues(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert eigs == pytest.approx([1.0, 0.0], abs=1e-12)
-
-    def test_identity(self):
-        assert symmetric_eigenvalues(np.eye(3)) == pytest.approx([1.0, 1.0, 1.0])
+    """The spectrum `spectral_report` takes of the symmetric matrix P."""
 
     def test_triangle_with_degree_weights(self):
-        m = normalized_weight_matrix(triangle(), [2.0] * 3, 0.9)
-        eigs = symmetric_eigenvalues(m)
-        assert eigs == pytest.approx([1.0, -0.35, -0.35], abs=1e-9)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        report = spectral_report(triangle(), [2.0] * 3, 0.9)
+        assert report.eigenvalues == pytest.approx([1.0, -0.35, -0.35], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_charpoly_roots(self, seed):
         g, y = er_instance(seed, n_lo=4, n_hi=6, mean_degree=3.0)
         w = [v + 0.2 for v in y]
         eps = 0.5 * min(wi / di for wi, di in zip(w, g.degrees))
-        p_sym = normalized_weight_matrix(g, w, eps)
-        # P_w = I - eps W^-1 L is similar to p_sym, so spectra agree
+        # P_w = I - eps W^-1 L is similar to P, so spectra agree
         p_w = np.eye(g.node_count) - eps * np.diag([1.0 / wi for wi in w]) @ laplacian(g)
-        assert symmetric_eigenvalues(p_sym) == pytest.approx(
+        assert spectral_report(g, w, eps).eigenvalues == pytest.approx(
             charpoly_eigenvalues(p_w), abs=1e-6
         )
+
+    def test_peak_memory_is_one_matrix(self):
+        g = cli.generate_synthetic(300, 0.02, 5)
+        w = [float(d) for d in g.degrees]
+        n = g.node_count
+        tracemalloc.start()
+        try:
+            spectral_report(g, w, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestConvergenceFactor:
@@ -177,8 +179,6 @@ class TestEmpiricalConvergenceFactor:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_analytic_rate(self, seed):
-        from linkmetrics import cli
-
         g = cli.generate_synthetic(20, 0.3, seed + 50)
         x0 = cli.generate_attributes(g, 5.0, seed + 50)
         w = [float(d) for d in g.degrees]
