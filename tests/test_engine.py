@@ -101,6 +101,11 @@ class TestNodePowers:
         with pytest.raises(ValueError, match=r"node 0: .*1e\+200.* power 3\b"):
             node_powers([1e200, 2.0], 3)
 
+    def test_nonfinite_result_of_given_power_rejected(self):
+        # The square path is v * v, which overflows to inf without raising.
+        with pytest.raises(ValueError, match=r"node 0: .* power 2\b"):
+            node_powers([1e200], 2)
+
     def test_square_is_correctly_rounded(self):
         # glibc's pow(v, 2) gives 1.2921931049530018 here, one ulp off.
         v = 1.136746719789858
