@@ -9,13 +9,15 @@ Exit codes: 0 = all stages converged, 1 = input/configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -137,18 +139,36 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_trace_csv(path: Path, trace: Sequence[Sequence[float]]) -> None:
-    """One 'iteration,node_id,state' row per node and iteration, with the
-    state as repr(); each iteration is one %-substitution of a template.
+def _trace_writer(f: IO[str], n: int) -> engine.RowSink:
+    """Write the trace CSV header to `f` and return a row sink that appends
+    one 'iteration,node_id,state' row per node for each round it is handed,
+    numbering rounds from 0, with the state as repr(); each round is one
+    %-substitution of a template.
 
     Rows may be float64 arrays or lists. Each is turned into Python floats
     first, since the repr of a NumPy 2 scalar is 'np.float64(...)'.
     """
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write("iteration,node_id,state\n")
-        template = "".join(f"@,{node},%r\n" for node in range(len(trace[0])))
-        for it, states in enumerate(trace):
-            f.write(template.replace("@", str(it)) % tuple(np.asarray(states).tolist()))
+    f.write("iteration,node_id,state\n")
+    template = "".join(f"@,{node},%r\n" for node in range(n))
+    iteration = itertools.count()
+
+    def write(rows) -> None:
+        for states in rows:
+            row = template.replace("@", str(next(iteration)))
+            f.write(row % tuple(np.asarray(states).tolist()))
+
+    return write
+
+
+def _trace_file(path: Path) -> IO[str]:
+    return path.open("w", encoding="utf-8", newline="\n")
+
+
+def _write_trace_csv(path: Path, trace: Sequence[Sequence[float]]) -> None:
+    """The trace CSV of a whole recorded trace: what `_trace_writer`
+    streams when handed its rows."""
+    with _trace_file(path) as f:
+        _trace_writer(f, len(trace[0]))(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,6 @@ class ExperimentConfig:
             step_tolerance=self.step_tolerance,
             spread_tolerance=self.spread_tolerance,
             max_iterations=self.max_iterations,
-            record_trace=self.write_traces,
             allow_unstable_epsilon=self.allow_unstable_epsilon,
         )
 
@@ -212,51 +231,77 @@ Stages = list[tuple[str, ConsensusRun]]
 
 
 def _run_metric(
-    g: Graph, y: list[float], spec: metrics.MetricSpec | None, ccfg: ConsensusConfig
+    g: Graph, y: list[float], spec: metrics.MetricSpec | None, ccfg: ConsensusConfig,
+    out: Path | None,
 ) -> tuple[float, dict, Stages]:
     """Run total variation (spec None) or the polynomial metric `spec`.
 
     Returns the metric value, its alphas and its (stage name, run) pairs.
+    With `out`, each distinct run streams its trace to
+    out/<name>_trace.csv while it iterates, under the first stage name
+    that lists it, and the file is copied to the run's other names once
+    the metric is done. If the metric fails, every trace file it started
+    is removed.
     """
     if spec is None:
-        r = metrics.total_variation_pipeline(g, y, ccfg)
-        alphas = {"alpha1": r.alpha1, "alpha2": r.alpha2, "alpha3": r.alpha3}
-        stages = [(f"stage{i}", run) for i, run in enumerate(r.runs, 1)]
-        return r.total_variation, alphas, stages
-    terms = metrics.polynomial_metric_terms(g, y, spec, ccfg)
-    stages, alphas = [], {}
-    for t in terms:
-        key = f"term_{t.l}_{t.k}"
-        alphas[key] = {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
-        stages += [(f"{key}_stage{i}", run) for i, run in enumerate(t.runs, 1)]
-    return metrics.polynomial_metric_value(terms), alphas, stages
+        # The runs of TVResult.runs; its S(0,0) is listed nowhere.
+        keys = [(2, 0), (1, 1), (1, 0)]
+        names = ["stage1", "stage2", "stage3"]
+    else:
+        keys = [lk for l, k, _ in spec.terms for lk in ((l, k), (k, 0))]
+        names = [f"term_{l}_{k}_stage{i}" for l, k, _ in spec.terms for i in (1, 2)]
+    paths = [out / f"{name}_trace.csv" for name in names] if out is not None else []
+    first: dict[tuple[int, int], Path] = {}  # stage -> the trace CSV it streams to
+    for lk, path in zip(keys, paths):
+        first.setdefault(lk, path)
+    files = contextlib.ExitStack()
+    started: list[Path] = []
+
+    def sink(l: int, k: int) -> engine.RowSink | None:
+        if (l, k) not in first:
+            return None
+        f = files.enter_context(_trace_file(first[l, k]))
+        started.append(first[l, k])
+        return _trace_writer(f, g.node_count)
+
+    try:
+        with files:
+            if spec is None:
+                r = metrics.total_variation_pipeline(g, y, ccfg, sink)
+                value, runs = r.total_variation, r.runs
+                alphas = {"alpha1": r.alpha1, "alpha2": r.alpha2, "alpha3": r.alpha3}
+            else:
+                terms = metrics.polynomial_metric_terms(g, y, spec, ccfg, sink)
+                value = metrics.polynomial_metric_value(terms)
+                runs = [run for t in terms for run in t.runs]
+                alphas = {
+                    f"term_{t.l}_{t.k}":
+                        {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
+                    for t in terms
+                }
+    except BaseException:
+        for path in started:
+            path.unlink(missing_ok=True)
+        raise
+    for lk, path in zip(keys, paths):
+        if path != first[lk]:
+            shutil.copyfile(first[lk], path)
+    return value, alphas, list(zip(names, runs))
 
 
-def _stage_entries(stages: Stages, out: Path) -> list[dict]:
-    """summary.json entries of `stages`; each recorded trace goes to
-    out/<stage>_trace.csv and is then dropped from its run, so that what
-    follows does not hold it in memory. A run listed under several names
-    is formatted once, under its first name, and its bytes copied to the
-    others."""
-    entries = []
-    written: dict[int, Path] = {}  # id(run) -> its first trace CSV
-    for name, run in stages:
-        path = out / f"{name}_trace.csv"
-        if id(run) in written:
-            shutil.copyfile(written[id(run)], path)
-        elif run.trace is not None:
-            _write_trace_csv(path, run.trace)
-            run.trace = None
-            written[id(run)] = path
-        entries.append({
+def _stage_entries(stages: Stages) -> list[dict]:
+    """summary.json entries of `stages`."""
+    return [
+        {
             "stage": name,
             "epsilon": run.epsilon,
             "delta": run.max_step_bound,
             "iterations": run.iterations_used,
             "converged": run.converged,
             "value": run.consensus_value,
-        })
-    return entries
+        }
+        for name, run in stages
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -281,10 +326,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.metric == "poly":
         spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8"))
 
-    value, alphas, stages = _run_metric(g, y, spec, ccfg)
+    traces = out if cfg.write_traces else None
+    value, alphas, stages = _run_metric(g, y, spec, ccfg, traces)
     summary: dict = {
         "graph": {"n": g.node_count, "m": g.edge_count},
-        "stages": _stage_entries(stages, out),
+        "stages": _stage_entries(stages),
         "alphas": alphas,
         "metric_value": value,
         "oracle": None,
@@ -322,10 +368,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         shifted_out = out / "shifted"
         shifted_out.mkdir(exist_ok=True)
         shifted_y = metrics.shift_attributes(y, cfg.shift)
-        s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg)
+        s_traces = shifted_out if cfg.write_traces else None
+        s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces)
         summary["shifted"] = {
             "shift": cfg.shift,
-            "stages": _stage_entries(s_stages, shifted_out),
+            "stages": _stage_entries(s_stages),
             "alphas": s_alphas,
             "metric_value": s_value,
             # Stage 2 (WAC1) is the one whose bound Delta1 the shift enlarges.

@@ -9,15 +9,16 @@ undirected edge u < v once, in lexicographic order, and one `np.bincount`
 adds each node's terms from its smaller-id neighbors, then its larger-id
 ones, both ascending, which keeps that order. `wac_step_value` is the
 per-node form the simulation harness runs, and the two give bit-identical
-traces. `wac_run` decides stopping once per block of rounds and discards
-the rounds a block computed past the stop.
+traces. `wac_run` decides stopping once per block of rounds, discards
+the rounds a block computed past the stop and hands the rounds it keeps
+to an optional row sink, block by block, as they are decided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,8 +54,9 @@ class ConsensusConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon_fraction < 1.0):
             raise ConfigurationError("epsilon_fraction must lie in (0, 1)")
-        if not self.step_tolerance > 0 or not self.spread_tolerance > 0:
-            raise ConfigurationError("tolerances must be positive")
+        for tol in (self.step_tolerance, self.spread_tolerance):
+            if not 0 < tol < math.inf:
+                raise ConfigurationError("tolerances must be positive and finite")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
 
@@ -79,9 +81,18 @@ class ConsensusRun:
     """Each round's largest per-node step, as float64; nothing writes it out yet."""
     trace: list[np.ndarray] | None = None
     """With `record_trace`, one 1-D float64 row of N states per round:
-    row k is x(k) and row 0 is x(0). Rows after the first are views of the
-    blocks the iteration computed, kept without a copy; share them, but
-    never write to them."""
+    row k is x(k) and row 0 is x(0). It is the list that collects what
+    `wac_run` hands a row sink, so it holds every round at once; pass a
+    sink instead to consume the rounds block by block. Rows after the
+    first are views of the blocks the iteration computed, kept without a
+    copy; share them, but never write to them."""
+
+
+RowSink = Callable[[np.ndarray], None]
+"""Receives a 2-D float64 array of consecutive rounds' states, one row of
+N per round: first x(0) alone, then the kept rounds of each block. The
+array is the engine's, fresh for each call and never written again, so a
+sink may keep it but must not write to it."""
 
 
 def validate_positive(values: Sequence[float], name: str) -> None:
@@ -173,6 +184,7 @@ def wac_run(
     x0: Sequence[float],
     w: Sequence[float],
     cfg: ConsensusConfig | None = None,
+    sink: RowSink | None = None,
 ) -> ConsensusRun:
     """Run the weighted-average-consensus iteration to the stopping rule.
 
@@ -200,7 +212,10 @@ def wac_run(
     Stopping is decided once per block of up to `_BLOCK` rounds, never
     past `max_iterations`, with one 2-D reduction per test. The run ends at
     the block's first round that meets the rule and the rounds after it
-    are discarded, so results equal a check after every round.
+    are discarded, so results equal a check after every round. `sink`, if
+    given, receives x(0) and then each block's kept rounds while the run
+    iterates; `record_trace` collects the same rows into `trace` instead,
+    and the two do not combine.
     """
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
@@ -210,8 +225,13 @@ def wac_run(
 
     x = np.array(x0, dtype=float)
     weights = np.array(w, dtype=float)
-    trace: list[np.ndarray] | None = [x] if cfg.record_trace else None
-    final, residuals, stop_reason = _iterate(g, x, eps / weights, cfg, trace)
+    trace: list[np.ndarray] | None = None
+    if cfg.record_trace:
+        if sink is not None:
+            raise ConfigurationError("record_trace collects the rows itself; pass no sink")
+        trace = []
+        sink = trace.extend
+    final, residuals, stop_reason = _iterate(g, x, eps / weights, cfg, sink)
     value = math.nan
     if np.isfinite(final).all():
         try:
@@ -237,11 +257,13 @@ def _iterate(
     x: np.ndarray,
     scale: np.ndarray,
     cfg: ConsensusConfig,
-    trace: list[np.ndarray] | None,
+    sink: RowSink | None,
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """The rounds of `wac_run` from state x with per-node scale eps / w_i:
-    the final state, every round's residual and the stop reason. Appends
-    the rounds to `trace` unless it is None."""
+    the final state, every round's residual and the stop reason. Unless
+    `sink` is None it receives x, then each block's kept rounds once the
+    block's stop is decided, so a round discarded after the stop never
+    reaches it and the caller never holds more than one block."""
     n = g.node_count
     # Built per call, and so writeable: take() and bincount() copy a
     # read-only index array, such as the graph's shared ones, on every call.
@@ -261,6 +283,8 @@ def _iterate(
     if math.isfinite(top):
         spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
 
+    if sink is not None:
+        sink(x[np.newaxis])
     stop_reason = None
     # Divergent runs overflow to inf and nan, then stop on the non-finite
     # residual, so the floating-point warnings carry nothing.
@@ -269,7 +293,7 @@ def _iterate(
             stop_reason = "spread"
         while stop_reason is None and used < cfg.max_iterations:
             count = min(_BLOCK, cfg.max_iterations - used)
-            # A fresh block each time, so a recorded trace can keep its rows.
+            # A fresh block each time, so a sink can keep its rows.
             rows = np.empty((count, n))
             prev = x
             for row in rows:
@@ -304,8 +328,8 @@ def _iterate(
                 residuals = np.concatenate((residuals, np.empty_like(residuals)))
             residuals[used : used + count] = resids[:count]
             used += count
-            if trace is not None:
-                trace.extend(rows[:count])
+            if sink is not None:
+                sink(rows[:count])
             x = rows[count - 1]
     # Copies, so that the run keeps no view of the buffers.
     return x.copy(), residuals[:used].copy(), stop_reason or "cap"

@@ -66,6 +66,11 @@ class Graph:
         src.flags.writeable = dst.flags.writeable = False
         return src, dst
 
+    @cached_property
+    def connected(self) -> bool:
+        """Whether every node reaches every other; one BFS on first use."""
+        return len(_components(self)[0]) == self.node_count
+
 
 def from_edges(n: int, edges, original_ids=None) -> Graph:
     """Build a Graph from undirected edge pairs (deduplicated).
@@ -158,7 +163,7 @@ def _components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_components(g)[0]) == g.node_count
+    return g.connected
 
 
 def largest_connected_component(g: Graph) -> Graph:

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from linkmetrics import cli
+from linkmetrics import cli, engine, metrics
 from linkmetrics.cli import (
     ExperimentConfig,
     build_parser,
@@ -16,7 +18,8 @@ from linkmetrics.cli import (
     parse_attribute_file,
     run_experiment,
 )
-from linkmetrics.graph import is_connected
+from linkmetrics.engine import ConsensusConfig
+from linkmetrics.graph import is_connected, parse_edge_list
 
 from helpers import reference_generate_synthetic
 
@@ -138,6 +141,96 @@ class TestWriteTraceCsv:
             for node, state in enumerate(states)
         )
         assert path.read_bytes() == ("iteration,node_id,state\n" + rows).encode()
+
+
+KITE_EDGES = "0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n"
+KITE_ATTRS = "0 1.5\n1 2.0\n2 0.5\n3 3.0\n4 1.25\n"
+# Terms (1,1) and (1,0) share S(1,0); terms (2,0) and (1,0) share S(0,0).
+SHARED_SPEC = "1 1 1.0\n2 0 1.0\n1 0 1.0\n"
+ER_ARGS = ["--er", "30", "0.2", "--seed", "9", "--exp-mean", "5"]
+
+
+class TestStreamedTraces:
+    """The CLI writes each trace while its run iterates, one block of
+    rounds at a time, rather than from a trace held in memory."""
+
+    def _recorded(self, case, tmp_path):
+        """CLI arguments, and the expected trace CSV path under out/ of
+        every run, recorded in memory."""
+        cfg = ConsensusConfig(record_trace=True)
+        if case == "poly_shared":
+            (tmp_path / "edges.txt").write_text(KITE_EDGES)
+            (tmp_path / "attrs.txt").write_text(KITE_ATTRS)
+            (tmp_path / "spec.txt").write_text(SHARED_SPEC)
+            argv = [
+                "--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt"),
+                "--metric", "poly", "--spec", str(tmp_path / "spec.txt"),
+            ]
+            g = parse_edge_list(KITE_EDGES)
+            y = parse_attribute_file(KITE_ATTRS, g)
+            spec = metrics.parse_metric_spec(SHARED_SPEC)
+            return argv, {
+                f"term_{t.l}_{t.k}_stage{i}_trace.csv": run
+                for t in metrics.polynomial_metric_terms(g, y, spec, cfg)
+                for i, run in enumerate(t.runs, 1)
+            }
+        g = generate_synthetic(30, 0.2, 9)
+        y = generate_attributes(g, 5.0, 9)
+        expected = {}
+        for prefix, ys in (("", y), ("shifted/", metrics.shift_attributes(y, 10.0))):
+            runs = metrics.total_variation_pipeline(g, ys, cfg).runs
+            expected.update({f"{prefix}stage{i}_trace.csv": run for i, run in enumerate(runs, 1)})
+        return ER_ARGS + ["--shift", "10"], expected
+
+    @pytest.mark.parametrize("case", ["poly_shared", "shift"])
+    def test_streamed_equal_recorded_bytes(self, case, tmp_path):
+        argv, expected = self._recorded(case, tmp_path)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*.csv"))
+        assert written == sorted(expected)
+        assert max(run.iterations_used for run in expected.values()) > 2 * engine._BLOCK
+        reference = tmp_path / "reference.csv"
+        for name, run in expected.items():
+            cli._write_trace_csv(reference, run.trace)
+            assert (out / name).read_bytes() == reference.read_bytes(), name
+
+    def test_memory_does_not_grow_with_rounds(self, tmp_path):
+        # Stage 2 needs 7,689 rounds here, so both caps end it. Held in
+        # memory, each of its rounds would be a row of 1.6 KB.
+        peaks = []
+        for cap in (500, 4000):
+            argv = ["--er", "200", "0.025", "--seed", "42", "--exp-mean", "5"]
+            tracemalloc.start()
+            try:
+                code = main(argv + ["--max-iters", str(cap), "--out", str(tmp_path / str(cap))])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+    @pytest.mark.parametrize(
+        "extra, opened",
+        [
+            # y**400 overflows in S(400,0), after S(1,1) and S(1,0) have finished.
+            (["--metric", "poly", "--spec"], 2),
+            # The unstable step size fails S(2,0) once its trace file is open.
+            (["--epsilon", "100"], 1),
+        ],
+        ids=["finished", "partial"],
+    )
+    def test_failed_metric_leaves_no_trace(self, extra, opened, tmp_path, monkeypatch):
+        files = []
+        real = cli._trace_file
+        monkeypatch.setattr(cli, "_trace_file", lambda path: files.append(path) or real(path))
+        if extra[-1] == "--spec":
+            (tmp_path / "spec.txt").write_text("1 1 1\n400 0 1\n")
+            extra = extra + [str(tmp_path / "spec.txt")]
+        out = tmp_path / "out"
+        assert main(ER_ARGS + extra + ["--out", str(out)]) == 1
+        assert len(files) == opened
+        assert list(out.iterdir()) == []
 
 
 class TestRunExperiment:
@@ -363,6 +456,15 @@ class TestRunExperiment:
         assert "--seed" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--tol-step", "--tol-spread"])
+    def test_infinite_tolerance_exits_1(self, flag, tmp_path, capsys):
+        # Every stage would stop at round 0 and read converged.
+        out = tmp_path / "out"
+        argv = ["--er", "100", "0.1", "--seed", "1", "--exp-mean", "5", "--oracle"]
+        assert main(argv + [flag, "inf", "--out", str(out)]) == 1
+        assert "tolerances must be positive and finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("shift", [math.inf, math.nan, 0.0])
     def test_shift_must_be_positive_and_finite(self, shift):
         with pytest.raises(ValueError, match="--shift"):
@@ -419,10 +521,9 @@ class TestRunExperiment:
     def test_shared_run_trace_formatted_once(self, triangle_files, tmp_path, monkeypatch):
         # Six stage entries from four distinct runs: S(1,1), S(1,0), S(2,0), S(0,0).
         calls = []
-        real = cli._write_trace_csv
+        real = cli._trace_writer
         monkeypatch.setattr(
-            cli, "_write_trace_csv",
-            lambda path, trace: calls.append(path.name) or real(path, trace),
+            cli, "_trace_writer", lambda f, n: calls.append(Path(f.name).name) or real(f, n)
         )
         edges, attrs = triangle_files
         spec = tmp_path / "spec.txt"
@@ -443,6 +544,7 @@ class TestRunExperiment:
             assert copied == (out / f"{first}_trace.csv").read_bytes()
 
     def test_traces_released_once_written(self, triangle_files, tmp_path, monkeypatch):
+        # Traces stream to their CSVs while the runs iterate; no run keeps rows.
         runs = []
         real_metric = cli._run_metric
 
@@ -451,11 +553,12 @@ class TestRunExperiment:
             runs.extend(run for _, run in stages)
             return value, alphas, stages
 
-        held = []
+        held, written = [], []
         real_report = cli.spectral.spectral_report
 
         def report(g, w, epsilon):
             held.append([run.trace is not None for run in runs])
+            written.append(sorted(p.name for p in out.glob("*_trace.csv")))
             return real_report(g, w, epsilon)
 
         monkeypatch.setattr(cli, "_run_metric", run_metric)
@@ -467,6 +570,8 @@ class TestRunExperiment:
             "--shift", "10", "--out", str(out),
         ]) == 0
         assert held and not any(any(h) for h in held)
+        # The three trace CSVs of the run are written before the report starts.
+        assert written[0] == [f"stage{i}_trace.csv" for i in (1, 2, 3)]
         assert len(runs) == 6 and all(run.trace is None for run in runs)
         for name in ("stage2", "shifted/stage2"):
             lines = (out / f"{name}_trace.csv").read_text().splitlines()

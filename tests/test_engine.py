@@ -41,6 +41,12 @@ class TestConsensusConfig:
         with pytest.raises(ConfigurationError):
             ConsensusConfig(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["step_tolerance", "spread_tolerance"])
+    def test_infinite_tolerance_rejected(self, name):
+        # An infinite tolerance would stop every run at round 0 as converged.
+        with pytest.raises(ConfigurationError, match="finite"):
+            ConsensusConfig(**{name: math.inf})
+
 
 class TestMaxStepSize:
     def test_degree_weights_give_unit_bound(self):
@@ -461,6 +467,37 @@ class TestBlockedRounds:
         _assert_same_run(run, reference_wac_run(g, y, w, cfg))
         assert run.iterations_used == stop
         assert run.stop_reason == rule and run.converged
+
+
+    @pytest.mark.parametrize("rule", ["cap", "step"])
+    def test_sink_receives_kept_rounds_block_by_block(self, rule):
+        # Both end 3 rounds into the third block: at the cap, or on the step
+        # rule with the rest of that block computed and discarded.
+        g, y = er_instance(3, n_lo=30, n_hi=30)
+        w = neighbor_weight_sums(g, y, 1)
+        stop = 2 * engine._BLOCK + 3
+        free = dict(step_tolerance=1e-300, spread_tolerance=1e-300)
+        recorded = wac_run(g, y, w, ConsensusConfig(
+            max_iterations=3 * engine._BLOCK, record_trace=True, **free,
+        ))
+        if rule == "cap":
+            cfg = ConsensusConfig(max_iterations=stop, **free)
+        else:
+            cfg = ConsensusConfig(
+                step_tolerance=recorded.residual_trace[stop - 1], spread_tolerance=1e-300
+            )
+        calls = []
+        run = wac_run(g, y, w, cfg, calls.append)
+        assert run.iterations_used == stop and run.stop_reason == rule
+        assert run.trace is None
+        assert [len(rows) for rows in calls] == [1, engine._BLOCK, engine._BLOCK, 3]
+        rows = [row for block in calls for row in block]
+        assert [_raw_bits(r) for r in rows] == [_raw_bits(r) for r in recorded.trace[: stop + 1]]
+
+    def test_sink_and_record_trace_rejected_together(self):
+        cfg = ConsensusConfig(record_trace=True)
+        with pytest.raises(ConfigurationError, match="sink"):
+            wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3, cfg, lambda rows: None)
 
 
 def _is_float64_vector(a, size):

@@ -89,6 +89,17 @@ class TestConnectivityAndDiameter:
     def test_single_node_connected(self):
         assert is_connected(from_edges(1, []))
 
+    def test_connectivity_searched_once_per_graph(self, monkeypatch):
+        from linkmetrics import graph
+
+        calls = []
+        real = graph._components
+        monkeypatch.setattr(graph, "_components", lambda g: calls.append(g) or real(g))
+        g = path(3)
+        assert is_connected(g) and is_connected(g)
+        assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
+        assert len(calls) == 2
+
     def test_diameter_examples(self):
         assert diameter(triangle()) == 1
         assert diameter(path(3)) == 2
