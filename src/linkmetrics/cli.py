@@ -145,30 +145,23 @@ def _trace_writer(f: IO[str], n: int) -> engine.RowSink:
     numbering rounds from 0, with the state as repr(); each round is one
     %-substitution of a template.
 
-    Rows may be float64 arrays or lists. Each is turned into Python floats
-    first, since the repr of a NumPy 2 scalar is 'np.float64(...)'.
+    Each block of rounds is a 2-D float64 array, turned into Python floats
+    by one tolist(), since the repr of a NumPy 2 scalar is 'np.float64(...)'.
     """
     f.write("iteration,node_id,state\n")
     template = "".join(f"@,{node},%r\n" for node in range(n))
     iteration = itertools.count()
 
-    def write(rows) -> None:
-        for states in rows:
+    def write(rows: np.ndarray) -> None:
+        for states in rows.tolist():
             row = template.replace("@", str(next(iteration)))
-            f.write(row % tuple(np.asarray(states).tolist()))
+            f.write(row % tuple(states))
 
     return write
 
 
 def _trace_file(path: Path) -> IO[str]:
     return path.open("w", encoding="utf-8", newline="\n")
-
-
-def _write_trace_csv(path: Path, trace: Sequence[Sequence[float]]) -> None:
-    """The trace CSV of a whole recorded trace: what `_trace_writer`
-    streams when handed its rows."""
-    with _trace_file(path) as f:
-        _trace_writer(f, len(trace[0]))(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +201,9 @@ class ExperimentConfig:
             raise ValueError("metric must be 'tv' or 'poly'")
         if (self.metric == "poly") != (self.spec_path is not None):
             raise ValueError("--metric poly and --spec PATH go together")
+        if self.allow_unstable_epsilon and self.epsilon is None:
+            # --eps-frac already lies in (0, 1), so nothing would read it.
+            raise ValueError("--allow-unstable-epsilon applies to --epsilon only")
         if self.shift is not None:
             # The shift study compares the WAC1 bound Delta1 of total variation.
             if self.metric != "tv":
@@ -445,7 +441,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error code, 2, means "unconverged"
+        return 1 if exc.code else 0  # 0 after --help
     try:
         return run_experiment(config_from_args(args))
     except (ValueError, OSError) as exc:

@@ -77,8 +77,6 @@ class ConsensusRun:
     stop_reason: str
     """The test that ended the run: "step", "spread", "cap" (max_iterations
     reached) or "nonfinite" (a round's step was not finite)."""
-    residual_trace: np.ndarray
-    """Each round's largest per-node step, as float64; nothing writes it out yet."""
     trace: list[np.ndarray] | None = None
     """With `record_trace`, one 1-D float64 row of N states per round:
     row k is x(k) and row 0 is x(0). It is the list that collects what
@@ -231,7 +229,7 @@ def wac_run(
             raise ConfigurationError("record_trace collects the rows itself; pass no sink")
         trace = []
         sink = trace.extend
-    final, residuals, stop_reason = _iterate(g, x, eps / weights, cfg, sink)
+    final, used, stop_reason = _iterate(g, x, eps / weights, cfg, sink)
     value = math.nan
     if np.isfinite(final).all():
         try:
@@ -240,14 +238,13 @@ def wac_run(
             value = math.fsum(final / len(final))
     return ConsensusRun(
         final_states=final,
-        iterations_used=len(residuals),
+        iterations_used=used,
         converged=stop_reason in ("step", "spread") and math.isfinite(value),
         consensus_value=value,
         epsilon=eps,
         max_step_bound=delta,
         weights=weights,
         stop_reason=stop_reason,
-        residual_trace=residuals,
         trace=trace,
     )
 
@@ -258,9 +255,9 @@ def _iterate(
     scale: np.ndarray,
     cfg: ConsensusConfig,
     sink: RowSink | None,
-) -> tuple[np.ndarray, np.ndarray, str]:
+) -> tuple[np.ndarray, int, str]:
     """The rounds of `wac_run` from state x with per-node scale eps / w_i:
-    the final state, every round's residual and the stop reason. Unless
+    the final state, the number of rounds kept and the stop reason. Unless
     `sink` is None it receives x, then each block's kept rounds once the
     block's stop is decided, so a round discarded after the stop never
     reaches it and the caller never holds more than one block."""
@@ -271,13 +268,8 @@ def _iterate(
     lower = src < dst
     ends = np.concatenate((dst[lower], src[lower]))
     m = len(ends) // 2
-    # The rounds use 4m floats of scratch and the stopping check of a block
-    # uses _BLOCK * n; they never run at once, so they share one buffer.
-    scratch = np.empty(max(4 * m, _BLOCK * n))
-    gathered, terms = scratch[: 2 * m], scratch[2 * m : 4 * m]
+    gathered, terms, steps = np.empty(2 * m), np.empty(2 * m), np.empty((_BLOCK, n))
     x_v, x_u, to_v, to_u = gathered[:m], gathered[m:], terms[:m], terms[m:]
-    steps = scratch[: _BLOCK * n].reshape(_BLOCK, n)
-    residuals, used = np.empty(_BLOCK), 0  # doubled when full
     spread_tolerance = cfg.spread_tolerance
     top = float(np.abs(x).max())
     if math.isfinite(top):
@@ -285,7 +277,7 @@ def _iterate(
 
     if sink is not None:
         sink(x[np.newaxis])
-    stop_reason = None
+    used, stop_reason = 0, None
     # Divergent runs overflow to inf and nan, then stop on the non-finite
     # residual, so the floating-point warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,15 +316,12 @@ def _iterate(
                     continue
                 count = k + 1
                 break
-            if used + count > len(residuals):
-                residuals = np.concatenate((residuals, np.empty_like(residuals)))
-            residuals[used : used + count] = resids[:count]
             used += count
             if sink is not None:
                 sink(rows[:count])
             x = rows[count - 1]
-    # Copies, so that the run keeps no view of the buffers.
-    return x.copy(), residuals[:used].copy(), stop_reason or "cap"
+    # A copy, so that the run keeps no view of the last block.
+    return x.copy(), used, stop_reason or "cap"
 
 
 def min_consensus(

@@ -204,10 +204,3 @@ def _bfs_eccentricity(g: Graph, start: int) -> int:
 def diameter(g: Graph) -> int:
     """Max shortest-path length over all node pairs (BFS from every node)."""
     return max(_bfs_eccentricity(g, s) for s in range(g.node_count))
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense Laplacian L = D - A as float64."""
-    lap = np.diag(np.array(g.degrees, dtype=float))
-    lap[g.edge_arrays] = -1.0
-    return lap

@@ -83,10 +83,6 @@ class TVResult:
         """Step bound of stage 2 (WAC1), the one an attribute shift enlarges."""
         return self.runs[1].max_step_bound
 
-    @property
-    def converged(self) -> bool:
-        return all(r.converged for r in self.runs)
-
 
 @dataclass
 class PolyTermResult:

@@ -39,9 +39,9 @@ class HarnessTrace:
     rounds_executed: int
     message_pairs: set[tuple[int, int]]
 
-    def state_values(self, extract=lambda s: s[0]) -> list[list[Any]]:
-        """Project each snapshot through `extract` (default: first field)."""
-        return [[extract(s) for s in snap] for snap in self.states]
+    def state_values(self) -> list[list[Any]]:
+        """The first field of every node's state, snapshot by snapshot."""
+        return [[s[0] for s in snap] for snap in self.states]
 
 
 def run_synchronous(

@@ -125,7 +125,6 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     scale = eps / np.array(w, dtype=float)
     diff = np.empty(len(dst))
     trace = [x] if cfg.record_trace else None
-    residuals: list[float] = []
     spread_tolerance = cfg.spread_tolerance
     top = float(np.abs(x).max())
     if math.isfinite(top):
@@ -141,7 +140,6 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
             resid = float(np.fmax.reduce(np.abs(new - x), initial=0.0))
             x = new
             iterations += 1
-            residuals.append(resid)
             if trace is not None:
                 trace.append(x)
             if not math.isfinite(resid):
@@ -166,8 +164,31 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
         epsilon=eps,
         max_step_bound=delta,
         trace=trace,
-        residual_trace=residuals,
     )
+
+
+def trace_residuals(trace) -> list[float]:
+    """Each recorded round's largest per-node step max_i |x_i(k) - x_i(k-1)|,
+    the quantity wac_run's step rule reads; like it, skips nan steps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            float(np.fmax.reduce(np.abs(new - old), initial=0.0))
+            for old, new in zip(trace, trace[1:])
+        ]
+
+
+def write_trace_csv(path, trace) -> None:
+    """The trace CSV of a whole recorded trace: what cli._trace_writer
+    writes when handed every round at once."""
+    with cli._trace_file(path) as f:
+        cli._trace_writer(f, len(trace[0]))(np.array(trace, dtype=float))
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Dense Laplacian L = D - A as float64."""
+    lap = np.diag(np.array(g.degrees, dtype=float))
+    lap[g.edge_arrays] = -1.0
+    return lap
 
 
 def reference_normalized_weight_matrix(g: Graph, w, epsilon: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from linkmetrics.cli import (
 from linkmetrics.engine import ConsensusConfig
 from linkmetrics.graph import is_connected, parse_edge_list
 
-from helpers import reference_generate_synthetic
+from helpers import reference_generate_synthetic, write_trace_csv
 
 TRIANGLE_EDGES = "0 1\n1 2\n0 2\n"
 TRIANGLE_ATTRS = "0 1.0\n1 2.0\n2 3.0\n"
@@ -134,7 +134,7 @@ class TestWriteTraceCsv:
         specials = [1.0, -0.0, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2, -7e22]
         trace = [[specials[(it + node) % len(specials)] for node in range(11)] for it in range(12)]
         path = tmp_path / "trace.csv"
-        cli._write_trace_csv(path, trace)
+        write_trace_csv(path, trace)
         rows = "".join(
             f"{it},{node},{state!r}\n"
             for it, states in enumerate(trace)
@@ -192,7 +192,7 @@ class TestStreamedTraces:
         assert max(run.iterations_used for run in expected.values()) > 2 * engine._BLOCK
         reference = tmp_path / "reference.csv"
         for name, run in expected.items():
-            cli._write_trace_csv(reference, run.trace)
+            write_trace_csv(reference, run.trace)
             assert (out / name).read_bytes() == reference.read_bytes(), name
 
     def test_memory_does_not_grow_with_rounds(self, tmp_path):
@@ -455,6 +455,30 @@ class TestRunExperiment:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_unstable_epsilon_without_epsilon_rejected(self, triangle_files, tmp_path, capsys):
+        # --eps-frac lies in (0, 1), so the flag would change nothing.
+        edges, attrs = triangle_files
+        out = tmp_path / "o"
+        code = main([
+            "--edges", str(edges), "--attrs", str(attrs), "--eps-frac", "0.5",
+            "--allow-unstable-epsilon", "--out", str(out),
+        ])
+        assert code == 1
+        assert "--allow-unstable-epsilon" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--attrs", "x"], ["--er", "5", "--exp-mean", "5"], ["--bogus"]]
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse exits 2, the code of a stage that failed to converge.
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--tol-step", "--tol-spread"])
     def test_infinite_tolerance_exits_1(self, flag, tmp_path, capsys):

@@ -31,6 +31,7 @@ from helpers import (
     reference_neighbor_weight_sums,
     reference_wac_run,
     star,
+    trace_residuals,
     triangle,
 )
 
@@ -205,22 +206,24 @@ class TestWacRun:
             run = wac_run(g, y, [float(d) for d in g.degrees], cfg)
         assert run.iterations_used == stop
         assert not run.converged
-        assert run.residual_trace[-1] == math.inf
+        assert run.stop_reason == "nonfinite"
 
     def test_infinite_start_reports_inf_residual(self):
         # Node 0 becomes nan (its step is nan, and skipped); node 1 becomes inf.
         cfg = ConsensusConfig(epsilon=0.5, record_trace=True)
         run = wac_run(path(3), [math.inf, 1.0, 2.0], [2.0, 2.0, 2.0], cfg)
-        assert run.residual_trace == [math.inf]
+        assert trace_residuals(run.trace) == [math.inf]
+        assert run.stop_reason == "nonfinite"
         assert run.iterations_used == 1
         assert not run.converged
         assert math.isnan(run.trace[1][0]) and run.trace[1][1] == math.inf
 
     def test_all_infinite_start_never_converges(self):
-        # Every step is nan and skipped, so the residual reads 0.0; the nan
-        # consensus value must still keep the run unconverged.
+        # Every step is nan and skipped, so the residual reads 0.0 and the
+        # step rule ends the run; the nan consensus value must still keep
+        # the run unconverged.
         run = wac_run(path(3), [math.inf] * 3, [2.0] * 3, ConsensusConfig(epsilon=0.5))
-        assert run.residual_trace == [0.0]
+        assert run.stop_reason == "step" and run.iterations_used == 1
         assert math.isnan(run.consensus_value)
         assert not run.converged
 
@@ -402,7 +405,6 @@ def _assert_same_run(run, ref):
     assert run.iterations_used == ref.iterations_used
     assert run.converged == ref.converged
     assert _raw_bits(run.final_states) == _raw_bits(ref.final_states)
-    assert _raw_bits(run.residual_trace) == _raw_bits(ref.residual_trace)
     assert _raw_bits([run.consensus_value]) == _raw_bits([ref.consensus_value])
     if ref.trace is None:
         assert run.trace is None
@@ -454,7 +456,7 @@ class TestBlockedRounds:
             max_iterations=3 * engine._BLOCK, record_trace=True,
         ))
         if rule == "step":
-            measure = free.residual_trace
+            measure = trace_residuals(free.trace)
         else:
             measure = [float(r.max() - r.min()) for r in free.trace[1:]]
         assert min(measure[: stop - 1]) > measure[stop - 1]
@@ -484,7 +486,8 @@ class TestBlockedRounds:
             cfg = ConsensusConfig(max_iterations=stop, **free)
         else:
             cfg = ConsensusConfig(
-                step_tolerance=recorded.residual_trace[stop - 1], spread_tolerance=1e-300
+                step_tolerance=trace_residuals(recorded.trace)[stop - 1],
+                spread_tolerance=1e-300,
             )
         calls = []
         run = wac_run(g, y, w, cfg, calls.append)
@@ -512,14 +515,14 @@ class TestArrayRecords:
         run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
         assert _is_float64_vector(run.final_states, 6)
         assert _is_float64_vector(run.weights, 6)
-        assert _is_float64_vector(run.residual_trace, run.iterations_used)
 
     def test_stage_inputs(self):
         assert _is_float64_vector(neighbor_weight_sums(triangle(), [1.0, 2.0, 3.0], 1), 3)
         assert _is_float64_vector(node_powers([2.0, 3.0], 2), 2)
 
-    def test_held_run_costs_8_bytes_a_round(self):
-        # Stage S(1,1) of desk scale, untraced, runs thousands of rounds.
+    def test_held_run_keeps_no_per_round_record(self):
+        # Stage S(1,1) of desk scale, untraced, runs thousands of rounds;
+        # the run holds its final states and weights, nothing per round.
         g = cli.generate_synthetic(200, 0.025, 42)
         y = cli.generate_attributes(g, 5.0, 42)
         w = neighbor_weight_sums(g, y, 1)
@@ -531,7 +534,7 @@ class TestArrayRecords:
         finally:
             tracemalloc.stop()
         assert run.iterations_used > 1000
-        assert held <= 8 * run.iterations_used + 64 * g.node_count + 4096
+        assert held <= 64 * g.node_count + 4096
 
 
 class TestStopReason:
@@ -546,18 +549,21 @@ class TestStopReason:
         assert run.stop_reason == "spread" and run.iterations_used == 0
 
     def test_step(self):
-        cfg = ConsensusConfig(epsilon=0.5, step_tolerance=1e-3, spread_tolerance=1e-300)
+        cfg = ConsensusConfig(
+            epsilon=0.5, step_tolerance=1e-3, spread_tolerance=1e-300, record_trace=True
+        )
         run = wac_run(cycle(6), [1.0, 9.0, 2.0, 8.0, 3.0, 7.0], [2.0] * 6, cfg)
         assert run.stop_reason == "step" and run.converged
-        assert run.residual_trace[-1] <= 1e-3 < min(run.residual_trace[:-1])
+        residuals = trace_residuals(run.trace)
+        assert residuals[-1] <= 1e-3 < min(residuals[:-1])
 
     def test_step_wins_when_both_pass(self):
         # eps = 2/3 on a triangle of weights 2 reaches the mean in one round:
         # spread 0.0 and step 3.0, both within tolerance.
-        cfg = ConsensusConfig(epsilon=2 / 3, step_tolerance=10.0)
+        cfg = ConsensusConfig(epsilon=2 / 3, step_tolerance=10.0, record_trace=True)
         run = wac_run(triangle(), [0.0, 3.0, 6.0], [2.0] * 3, cfg)
         assert run.final_states.tolist() == [3.0, 3.0, 3.0]
-        assert run.residual_trace == [3.0]
+        assert trace_residuals(run.trace) == [3.0]
         assert run.stop_reason == "step" and run.converged
 
     def test_cap(self):
@@ -574,7 +580,7 @@ class TestStopReason:
         cfg = ConsensusConfig(epsilon=2.5, allow_unstable_epsilon=True)
         run = wac_run(g, y, [float(d) for d in g.degrees], cfg)
         assert run.stop_reason == "nonfinite" and not run.converged
-        assert run.iterations_used == 582 and run.residual_trace[-1] == math.inf
+        assert run.iterations_used == 582
 
 
 def distributed_delta1(g, y):

@@ -9,12 +9,11 @@ from linkmetrics.graph import (
     diameter,
     from_edges,
     is_connected,
-    laplacian,
     largest_connected_component,
     parse_edge_list,
 )
 
-from helpers import path, triangle
+from helpers import laplacian, path, triangle
 
 
 class TestParseEdgeList:

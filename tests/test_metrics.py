@@ -72,7 +72,7 @@ class TestTotalVariationPipeline:
         assert r.alpha3 == pytest.approx(2.0, abs=1e-9)
         assert r.total_variation == pytest.approx(2.0, abs=1e-9)
         assert r.delta1 == 1.5
-        assert r.converged
+        assert all(run.converged for run in r.runs)
 
     def test_p3_fixture(self):
         r = total_variation_pipeline(path(3), [1.0, 2.0, 3.0])

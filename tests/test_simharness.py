@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics import cli
 from linkmetrics.engine import ConsensusConfig, max_step_size, neighbor_weight_sums, wac_run
 from linkmetrics.graph import from_edges
 from linkmetrics.simharness import (
@@ -20,6 +19,7 @@ from helpers import (
     reference_run_synchronous,
     star,
     triangle,
+    write_trace_csv,
 )
 
 
@@ -209,7 +209,7 @@ class TestCrossValidation:
         )
         run = wac_run(g, y, w, cfg)
         csv = tmp_path / "trace.csv"
-        cli._write_trace_csv(csv, run.trace)
+        write_trace_csv(csv, run.trace)
         tokens = [line.rsplit(",", 1)[1] for line in csv.read_text().splitlines()[1:]]
         trace = run_synchronous(g, make_wac_program(np.asarray(w), eps), y, max_rounds=5)
         values = [v for snap in trace.state_values() for v in snap]

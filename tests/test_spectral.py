@@ -6,7 +6,7 @@ import pytest
 
 from linkmetrics import cli
 from linkmetrics.engine import ConsensusConfig, exact_consensus_target, wac_run
-from linkmetrics.graph import from_edges, laplacian
+from linkmetrics.graph import from_edges
 from linkmetrics.rng import SplitMix64
 from linkmetrics.spectral import (
     NotEstimableError,
@@ -16,7 +16,7 @@ from linkmetrics.spectral import (
     spectral_report,
 )
 
-from helpers import er_instance, reference_normalized_weight_matrix, triangle
+from helpers import er_instance, laplacian, reference_normalized_weight_matrix, triangle
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> list[float]:
