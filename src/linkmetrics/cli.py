@@ -53,13 +53,14 @@ def generate_synthetic(n: int, p: float, seed: int) -> Graph:
     # Flat index of pair (i, i + 1): rows 0..i-1 hold the pairs before it.
     start = rows * (n - 1) - rows * (rows - 1) // 2
     pairs = n * (n - 1) // 2
-    edges: list[tuple[int, int]] = []
+    blocks: list[np.ndarray] = []
     for lo in range(0, pairs, _PAIR_BLOCK):
         z = rng.uint64_block(min(_PAIR_BLOCK, pairs - lo))
         f = lo + np.flatnonzero((z >> np.uint64(11)) * (1.0 / (1 << 53)) < p)
         i = np.searchsorted(start, f, side="right") - 1
-        edges += zip(i.tolist(), (f - start[i] + i + 1).tolist())
-    if not edges:
+        blocks.append(np.column_stack((i, f - start[i] + i + 1)))
+    edges = np.concatenate(blocks)
+    if not len(edges):
         raise ValueError("generated graph has no edges; raise p or n")
     g = graphmod.largest_connected_component(graphmod.from_edges(n, edges))
     if g.node_count < 2:
@@ -81,11 +82,7 @@ def parse_attribute_file(text: str, g: Graph) -> list[float]:
     Every graph node must receive exactly one positive value.
     """
     by_label: dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in graphmod.data_lines(text):
         if len(parts) != 2:
             raise ValueError(f"attribute line {lineno}: expected 'node value'")
         try:
@@ -96,11 +93,10 @@ def parse_attribute_file(text: str, g: Graph) -> list[float]:
             raise ValueError(f"attribute line {lineno}: duplicate value for node {label}")
         by_label[label] = value
 
-    values = []
-    for idx, label in enumerate(g.original_ids):
-        if label not in by_label:
-            raise ValueError(f"no attribute value for node {label}")
-        values.append(by_label[label])
+    try:
+        values = [by_label[label] for label in g.original_ids]
+    except KeyError as missing:
+        raise ValueError(f"no attribute value for node {missing.args[0]}") from None
     engine.validate_positive(values, "attribute")
     return values
 
@@ -311,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         g = generate_synthetic(cfg.er_n, cfg.er_p, cfg.seed)
 
     if cfg.attrs_path is not None:
-        y = parse_attribute_file(Path(cfg.attrs_path).read_text(encoding="utf-8"), g)
+        y = parse_attribute_file(Path(cfg.attrs_path).read_text(encoding="utf-8-sig"), g)
     else:
         y = generate_attributes(g, cfg.exp_mean, cfg.seed)
 
@@ -320,7 +316,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     ccfg = cfg.consensus()
     spec = None
     if cfg.metric == "poly":
-        spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8"))
+        spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8-sig"))
+        if not spec.terms:  # nothing would be computed
+            raise ValueError("spec has no terms")
 
     traces = out if cfg.write_traces else None
     value, alphas, stages = _run_metric(g, y, spec, ccfg, traces)

@@ -94,16 +94,18 @@ sink may keep it but must not write to it."""
 
 
 def validate_positive(values: Sequence[float], name: str) -> None:
-    for i, v in enumerate(values):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name}[{i}] = {v} must be positive and finite")
+    v = np.asarray(values, dtype=float)
+    ok = (v > 0) & (v < math.inf)
+    if not ok.all():
+        i = ok.argmin()  # the first value that fails
+        raise ValueError(f"{name}[{i}] = {values[i]} must be positive and finite")
 
 
 def max_step_size(w: Sequence[float], g: Graph) -> float:
     """Stability bound Delta = min_i w_i / d_i, agreed by min-consensus
     from each node's own w_i / d_i within N - 1 rounds, which bound the
     diameter; a disconnected graph raises DisconnectedGraphError."""
-    if any(d == 0 for d in g.degrees):
+    if 0 in g.degrees:
         raise IsolatedNodeError("graph has an isolated node")
     validate_positive(w, "w")
     if len(w) != g.node_count:
@@ -115,21 +117,27 @@ def max_step_size(w: Sequence[float], g: Graph) -> float:
 
 def node_powers(y: Sequence[float], k: int) -> np.ndarray:
     """y_i**k for every node i as a float64 array: the power a stage takes
-    as input. Squares are v * v, which is correctly rounded; other powers
-    are libm's pow, which np.power does not match.
+    as input. Powers 0, 1 and 2 are ones, y and y * y (correctly rounded);
+    others are libm's pow, node by node, which np.power does not match.
 
     A power that overflows or is not finite raises ValueError naming the
-    node and the exponent; one that underflows to 0.0 is kept.
+    first such node and the exponent; one that underflows to 0.0 is kept.
     """
-    out = np.empty(len(y))
-    for i, v in enumerate(y):
-        try:
-            p = v * v if k == 2 else pow(v, k)
-        except OverflowError:
-            p = math.inf
-        if not math.isfinite(p):
-            raise ValueError(f"node {i}: attribute {v!r} to the power {k} is not finite")
-        out[i] = p
+    if k in (0, 1, 2):
+        out = np.array(y, dtype=float)
+        with np.errstate(over="ignore"):
+            out = out * out if k == 2 else out if k == 1 else np.ones(len(out))
+    else:
+        out = np.empty(len(y))
+        for i, v in enumerate(y):
+            try:
+                out[i] = pow(v, k)
+            except OverflowError:
+                out[i] = math.inf
+    ok = np.isfinite(out)
+    if not ok.all():
+        i = ok.argmin()  # the first node that fails
+        raise ValueError(f"node {i}: attribute {y[i]!r} to the power {k} is not finite")
     return out
 
 
@@ -138,7 +146,7 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> np.ndarray:
     if k < 0:
         raise ValueError("exponent k must be >= 0")
     validate_positive(y, "y")
-    if any(d == 0 for d in g.degrees):
+    if 0 in g.degrees:
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
     src, dst = g.edge_arrays
     return np.bincount(src, weights=node_powers(y, k)[dst], minlength=g.node_count)

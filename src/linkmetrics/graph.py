@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterator
 
@@ -50,11 +49,9 @@ class Graph:
             raise ValueError("edge count inconsistent with degree sum")
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once as (i, j) with i < j."""
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if j > i:
-                    yield (i, j)
+        """Each undirected edge once as (i, j) with i < j, in lexicographic order."""
+        src, dst = self.edge_arrays
+        return zip(src[src < dst].tolist(), dst[src < dst].tolist())
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -73,28 +70,43 @@ class Graph:
 
 
 def from_edges(n: int, edges, original_ids=None) -> Graph:
-    """Build a Graph from undirected edge pairs (deduplicated).
+    """Build a Graph from undirected (u, v) pairs or an (m, 2) array, deduplicated.
 
     Self-loops are rejected. Nodes 0..n-1 exist even if isolated.
     """
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        adj[u].add(v)
-        adj[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in adj)
-    degrees = tuple(len(a) for a in adjacency)
-    m = sum(degrees) // 2
+    try:
+        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:  # an id past int64 is out of range
+        u, v = np.asarray(edges, dtype=object).reshape(-1, 2).T
+    bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+    if len(bad):
+        a, b = edges[bad[0]]
+        if a == b:
+            raise GraphFormatError(f"self-loop at node {a}")
+        raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+    # Keys src * n + dst of both orientations, sorted and deduplicated, are
+    # the adjacency in CSR order. (np.unique hashes them first: 10x slower.)
+    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    degrees = np.bincount(src, minlength=n).tolist()
+    ends = np.cumsum(degrees).tolist()
+    flat = np.arange(n).astype(object)[dst].tolist()  # one int object per node, shared
     return Graph(
         node_count=n,
-        adjacency=adjacency,
-        degrees=degrees,
-        edge_count=m,
+        adjacency=tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)),
+        degrees=tuple(degrees),
+        edge_count=len(flat) // 2,
         original_ids=tuple(original_ids) if original_ids is not None else (),
     )
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, its whitespace-separated tokens) for
+    each line of an input file that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.split()
 
 
 def parse_edge_list(source: str | bytes) -> Graph:
@@ -103,20 +115,13 @@ def parse_edge_list(source: str | bytes) -> Graph:
     Lines starting with '#' are comments; data lines hold two
     whitespace-separated non-negative integers. Original ids are remapped
     densely in first-appearance order; duplicate edges (in either
-    orientation) are collapsed.
+    orientation) are collapsed. Bytes are UTF-8, with or without a BOM.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
 
-    index_of: dict[int, int] = {}
-    labels: list[int] = []
-    edges: list[tuple[int, int]] = []
-
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    labels: list[int] = []  # both ends of every data line, in file order
+    for lineno, line, parts in data_lines(source):
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected two tokens, got {len(parts)}")
         try:
@@ -127,19 +132,17 @@ def parse_edge_list(source: str | bytes) -> Graph:
             raise GraphFormatError(f"line {lineno}: negative node id")
         if u_lbl == v_lbl:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u_lbl}")
-        for lbl in (u_lbl, v_lbl):
-            if lbl not in index_of:
-                index_of[lbl] = len(labels)
-                labels.append(lbl)
-        edges.append((index_of[u_lbl], index_of[v_lbl]))
+        labels += (u_lbl, v_lbl)
 
-    if not edges:
+    if not labels:
         raise EmptyGraphError("edge list contains no data lines")
-    return from_edges(len(labels), edges, original_ids=labels)
+    index_of = dict(zip(dict.fromkeys(labels), count()))  # first-appearance order
+    edges = np.fromiter(map(index_of.__getitem__, labels), dtype=np.int64, count=len(labels))
+    return from_edges(len(index_of), edges, original_ids=list(index_of))
 
 
 def load_edge_list(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _components(g: Graph) -> list[list[int]]:
@@ -150,14 +153,11 @@ def _components(g: Graph) -> list[list[int]]:
             continue
         comp = [start]
         seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        for u in comp:  # breadth first: comp grows as the search reaches nodes
             for v in g.adjacency[u]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
-                    queue.append(v)
         comps.append(sorted(comp))
     return comps
 
@@ -167,38 +167,34 @@ def is_connected(g: Graph) -> bool:
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component, nodes remapped densely.
+    """Induced subgraph on the largest component, nodes remapped densely;
+    a connected graph is returned as it is.
 
     Ties broken towards the component containing the smallest original id;
     relative node order is preserved.
     """
+    if g.connected:
+        return g
     comps = _components(g)
     best = max(comps, key=lambda c: (len(c), -min(g.original_ids[i] for i in c)))
-    remap = {old: new for new, old in enumerate(best)}
-    edges = [
-        (remap[u], remap[v])
-        for u in best
-        for v in g.adjacency[u]
-        if u < v and v in remap
-    ]
+    src, dst = g.edge_arrays
+    keep = (src < dst) & np.isin(src, best)  # dst shares src's component
+    edges = np.searchsorted(best, np.column_stack((src[keep], dst[keep])))  # best is sorted
     return from_edges(len(best), edges, original_ids=[g.original_ids[i] for i in best])
 
 
 def _bfs_eccentricity(g: Graph, start: int) -> int:
     dist = [-1] * g.node_count
     dist[start] = 0
-    queue = deque([start])
-    ecc = 0
-    while queue:
-        u = queue.popleft()
+    order = [start]
+    for u in order:  # breadth first: order grows as the search reaches nodes
         for v in g.adjacency[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
-                ecc = max(ecc, dist[v])
-                queue.append(v)
-    if any(d < 0 for d in dist):
+                order.append(v)
+    if len(order) < g.node_count:
         raise DisconnectedGraphError("diameter requires a connected graph")
-    return ecc
+    return dist[order[-1]]  # the last node reached is the farthest
 
 
 def diameter(g: Graph) -> int:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from . import engine
 from .engine import ConsensusConfig, ConsensusRun, RowSink
-from .graph import Graph
+from .graph import Graph, data_lines
 
 SinkFactory = Callable[[int, int], RowSink | None]
 """Called with (l, k) once per distinct stage S(l, k), just before it runs:
@@ -56,11 +56,7 @@ def tv_metric_spec() -> MetricSpec:
 def parse_metric_spec(text: str) -> MetricSpec:
     """Parse 'l k c' lines ('#' comments allowed) into a MetricSpec."""
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in data_lines(text):
         if len(parts) != 3:
             raise ValueError(f"spec line {lineno}: expected 'l k c'")
         try:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .graph import Graph
 from .metrics import MetricSpec
 
@@ -35,16 +37,26 @@ def exact_total_variation(g: Graph, y: Sequence[float]) -> float:
 
 
 def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> float:
-    """Per-edge average of f symmetrized over the two edge endpoints."""
+    """Per-edge average of f symmetrized over the two edge endpoints; each
+    edge's f(u, v) equals `spec.evaluate(u, v)` bit for bit, from node
+    powers taken once with `**` and terms multiplied left to right."""
     if g.edge_count < 1:
         raise ValueError("polynomial metric needs at least one edge")
-    return (
-        _fsum(
-            0.5 * (spec.evaluate(y[i], y[j]) + spec.evaluate(y[j], y[i]))
-            for i, j in g.edges()
-        )
-        / g.edge_count
-    )
+    src, dst = g.edge_arrays
+    i, j = src[src < dst], dst[src < dst]
+
+    def edge_values():  # a generator, so that _fsum turns an overflowing ** into ValueError
+        live = [v if d else 1.0 for v, d in zip(y, g.degrees)]  # no power of an isolated node
+        powers = {e: np.array([v**e for v in live]) for e in {e for t in spec.terms for e in t[:2]}}
+        def f(a: np.ndarray, b: np.ndarray):  # f(y_a, y_b) edge by edge: fsum of its terms
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
+                terms = [(c * powers[l][a] * powers[k][b]).tolist() for l, k, c in spec.terms]
+            return map(math.fsum, zip(*terms))
+
+        for p, q in zip(f(i, j), f(j, i)):
+            yield 0.5 * (p + q)
+
+    return _fsum(edge_values()) / g.edge_count
 
 
 def exact_alphas(g: Graph, y: Sequence[float]) -> tuple[float, float, float]:

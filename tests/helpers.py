@@ -4,12 +4,19 @@ plain-loop reference forms that faster code is pinned against."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
 
-from linkmetrics import cli, engine, metrics
-from linkmetrics.graph import Graph, from_edges, largest_connected_component
+from linkmetrics import cli, engine, metrics, oracle
+from linkmetrics.graph import (
+    EmptyGraphError,
+    Graph,
+    GraphFormatError,
+    from_edges,
+    largest_connected_component,
+)
 from linkmetrics.rng import SplitMix64, derive_seed
 from linkmetrics.simharness import HarnessTrace
 
@@ -79,10 +86,124 @@ def block_edge_count(g: Graph) -> Graph:
     return blocked
 
 
+def reference_from_edges(n: int, edges, original_ids=None) -> Graph:
+    """graph.from_edges as a loop that checks each pair in input order
+    and collects each node's neighbors in a set."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise GraphFormatError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        adj[u].add(v)
+        adj[v].add(u)
+    adjacency = tuple(tuple(sorted(s)) for s in adj)
+    degrees = tuple(len(a) for a in adjacency)
+    return Graph(
+        node_count=n,
+        adjacency=adjacency,
+        degrees=degrees,
+        edge_count=sum(degrees) // 2,
+        original_ids=tuple(original_ids) if original_ids is not None else (),
+    )
+
+
+def reference_parse_edge_list(source) -> Graph:
+    """graph.parse_edge_list as one loop over the lines that checks each
+    line and numbers each new label as it first appears."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8-sig")
+    index_of: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected two tokens, got {len(parts)}")
+        try:
+            u_lbl, v_lbl = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-numeric token in {line!r}") from None
+        if u_lbl < 0 or v_lbl < 0:
+            raise GraphFormatError(f"line {lineno}: negative node id")
+        if u_lbl == v_lbl:
+            raise GraphFormatError(f"line {lineno}: self-loop on node {u_lbl}")
+        for lbl in (u_lbl, v_lbl):
+            index_of.setdefault(lbl, len(index_of))
+        edges.append((index_of[u_lbl], index_of[v_lbl]))
+    if not edges:
+        raise EmptyGraphError("edge list contains no data lines")
+    return reference_from_edges(len(index_of), edges, original_ids=list(index_of))
+
+
+def reference_largest_connected_component(g: Graph) -> Graph:
+    """graph.largest_connected_component as a BFS per component and the
+    induced edges collected pair by pair through a dict remap."""
+    seen = [False] * g.node_count
+    comps = []
+    for start in range(g.node_count):
+        if seen[start]:
+            continue
+        comp, queue = [start], deque([start])
+        seen[start] = True
+        while queue:
+            for v in g.adjacency[queue.popleft()]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        comps.append(sorted(comp))
+    best = max(comps, key=lambda c: (len(c), -min(g.original_ids[i] for i in c)))
+    remap = {old: new for new, old in enumerate(best)}
+    edges = [(remap[u], remap[v]) for u in best for v in g.adjacency[u] if u < v and v in remap]
+    return reference_from_edges(len(best), edges, original_ids=[g.original_ids[i] for i in best])
+
+
+def reference_validate_positive(values, name: str) -> None:
+    """engine.validate_positive as a loop that stops at the first value
+    that is not positive and finite."""
+    for i, v in enumerate(values):
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name}[{i}] = {v} must be positive and finite")
+
+
+def reference_node_powers(y, k: int) -> np.ndarray:
+    """engine.node_powers as a per-node loop: v * v for k = 2, libm pow
+    otherwise, stopping at the first power that is not finite."""
+    out = np.empty(len(y))
+    for i, v in enumerate(y):
+        try:
+            p = v * v if k == 2 else pow(v, k)
+        except OverflowError:
+            p = math.inf
+        if not math.isfinite(p):
+            raise ValueError(f"node {i}: attribute {v!r} to the power {k} is not finite")
+        out[i] = p
+    return out
+
+
+def reference_exact_polynomial_metric(g: Graph, y, spec: metrics.MetricSpec) -> float:
+    """oracle.exact_polynomial_metric as one generator over g.edges() that
+    evaluates f both ways round on each edge."""
+    if g.edge_count < 1:
+        raise ValueError("polynomial metric needs at least one edge")
+    edges = ((i, j) for i, nbrs in enumerate(g.adjacency) for j in nbrs if j > i)
+    values = (0.5 * (spec.evaluate(y[i], y[j]) + spec.evaluate(y[j], y[i])) for i, j in edges)
+    return oracle._fsum(values) / g.edge_count
+
+
 def reference_neighbor_weight_sums(g: Graph, y, k: int) -> list[float]:
     """engine.neighbor_weight_sums as a per-node loop: each w_i sums
-    y_j**k from 0.0 over the neighbors j in ascending id order."""
-    yk = engine.node_powers(y, k)
+    y_j**k from 0.0 over the neighbors j in ascending id order, after the
+    same checks in the same order."""
+    if k < 0:
+        raise ValueError("exponent k must be >= 0")
+    reference_validate_positive(y, "y")
+    if any(d == 0 for d in g.degrees):
+        raise engine.IsolatedNodeError("neighbor weight sum undefined for isolated node")
+    yk = reference_node_powers(y, k)
     out = []
     for nbrs in g.adjacency:
         acc = 0.0

@@ -445,6 +445,39 @@ class TestRunExperiment:
         assert "--spec" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_files_with_byte_order_mark(self, tmp_path):
+        # Editors on Windows save UTF-8 with a BOM; it is not part of line 1.
+        texts = {"edges": "# Nodes: 3 Edges: 3\n" + TRIANGLE_EDGES, "attrs": TRIANGLE_ATTRS,
+                 "spec": "1 1 1.0\n"}
+        summaries = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            paths = {}
+            for name, text in texts.items():
+                paths[name] = tmp_path / f"{name}-{encoding}.txt"
+                paths[name].write_text(text, encoding=encoding)
+            out = tmp_path / encoding
+            code = main([
+                "--edges", str(paths["edges"]), "--attrs", str(paths["attrs"]),
+                "--metric", "poly", "--spec", str(paths["spec"]), "--oracle",
+                "--no-traces", "--out", str(out),
+            ])
+            assert code == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+
+    def test_spec_without_terms_rejected(self, triangle_files, tmp_path, capsys):
+        edges, attrs = triangle_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text("# no terms\n\n")
+        out = tmp_path / "o"
+        code = main([
+            "--edges", str(edges), "--attrs", str(attrs),
+            "--metric", "poly", "--spec", str(spec), "--out", str(out),
+        ])
+        assert code == 1
+        assert "spec has no terms" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_seed_without_synthetic_source_rejected(self, triangle_files, tmp_path, capsys):
         edges, attrs = triangle_files
         out = tmp_path / "o"

@@ -29,6 +29,8 @@ from helpers import (
     preferential_attachment,
     reference_min_consensus,
     reference_neighbor_weight_sums,
+    reference_node_powers,
+    reference_validate_positive,
     reference_wac_run,
     star,
     trace_residuals,
@@ -394,6 +396,52 @@ class TestEdgeArrayKernels:
         states, used = min_consensus(g, x0, rounds)
         ref_states, ref_used = reference_min_consensus(g, x0, rounds)
         assert (_bits(states), used) == (_bits(ref_states), ref_used)
+
+
+_STAGE_VALUES = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(5e-324, 1.7e308),  # subnormal to near float max: powers underflow and overflow
+    st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf, -math.inf, 1e155, 1e200, 1e-170]),
+)
+
+
+def _outcome(f, *args):
+    """The raw bits of what f(*args) returns (None stays None), or the
+    type and message of the ValueError it raises."""
+    try:
+        result = f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None if result is None else np.asarray(result).view(np.uint64).tolist()
+
+
+class TestArrayStageInputs:
+    """validate_positive, node_powers and neighbor_weight_sums equal their
+    per-node loops: the same bits, or the same first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_STAGE_VALUES, min_size=1, max_size=12), st.integers(0, 4))
+    def test_node_powers_and_checks_match_reference(self, y, k):
+        assert _outcome(node_powers, y, k) == _outcome(reference_node_powers, y, k)
+        assert _outcome(engine.validate_positive, y, "y") == _outcome(
+            reference_validate_positive, y, "y"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_graphs(), st.integers(0, 4), st.data())
+    def test_neighbor_weight_sums_match_reference(self, g, k, data):
+        size = g.node_count
+        y = data.draw(st.lists(_STAGE_VALUES, min_size=size, max_size=size))
+        got = _outcome(neighbor_weight_sums, g, y, k)
+        assert got == _outcome(reference_neighbor_weight_sums, g, y, k)
+
+    def test_isolated_node_checked_after_values(self):
+        g = from_edges(3, [(0, 1)])
+        for y, match in (([1.0, 0.0, 1.0], r"y\[1\]"), ([1.0, 1.0, 1.0], "isolated")):
+            with pytest.raises(ValueError, match=match):
+                neighbor_weight_sums(g, y, 1)
+            with pytest.raises(ValueError, match=match):
+                reference_neighbor_weight_sums(g, y, 1)
 
 
 def _raw_bits(values):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkmetrics import cli
 from linkmetrics.graph import (
     DisconnectedGraphError,
     EmptyGraphError,
+    Graph,
     GraphFormatError,
     diameter,
     from_edges,
@@ -13,7 +15,14 @@ from linkmetrics.graph import (
     parse_edge_list,
 )
 
-from helpers import laplacian, path, triangle
+from helpers import (
+    laplacian,
+    path,
+    reference_from_edges,
+    reference_largest_connected_component,
+    reference_parse_edge_list,
+    triangle,
+)
 
 
 class TestParseEdgeList:
@@ -169,3 +178,110 @@ class TestStructuralInvariants:
                 assert i in g.adjacency[j]
         row_sums = laplacian(g).sum(axis=1)
         assert np.all(row_sums == 0.0)
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_LABELS = st.one_of(
+    st.integers(0, 12),  # small ids repeat, so duplicate edges and self-loops occur
+    st.integers(10**7, 10**8),
+    st.integers(2**63 - 2, 2**64 + 2),  # past int64
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "   ", " \t "])
+
+
+@st.composite
+def _edge_line(draw):
+    u, v = draw(_LABELS), draw(_LABELS)
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return f"{pad}{u}{draw(_SEPARATORS)}{v}{pad}"
+
+
+_OTHER_LINES = st.sampled_from([
+    "", "   ", "# comment", "  # 1 2 3", "#",  # skipped
+    "7", "1 2 3", "a b", "3 x", "1.5 2", "-3 4", "5 -0", "9 9",  # malformed
+    "+5 7", "1_0 3", "\u0663 4", "007 8",  # ids int() reads
+])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """SNAP-style text: edge lines with a few comment, blank, malformed or
+    unusual lines inserted, as str or as bytes (some with a BOM)."""
+    lines = draw(st.lists(_edge_line(), max_size=30))
+    for other in draw(st.lists(_OTHER_LINES, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), other)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    encoding = draw(st.sampled_from([None, "utf-8", "utf-8-sig"]))
+    return text if encoding is None else text.encode(encoding)
+
+
+class TestArrayIngest:
+    """from_edges, parse_edge_list and largest_connected_component equal
+    the per-line and per-edge loops of tests/helpers.py: equal graphs, or
+    the same exception type and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    def test_parse_matches_reference(self, source):
+        got = _outcome(parse_edge_list, source)
+        assert got == _outcome(reference_parse_edge_list, source)
+        if isinstance(got, Graph):
+            assert list(got.edges()) == [
+                (i, j) for i, nbrs in enumerate(got.adjacency) for j in nbrs if j > i
+            ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_from_edges_matches_reference(self, n, data):
+        ends = st.integers(-2, n + 1) if data.draw(st.booleans()) else st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+        got = _outcome(from_edges, n, edges)
+        assert got == _outcome(reference_from_edges, n, edges)
+        if edges and isinstance(got, Graph):
+            assert from_edges(n, np.array(edges)) == got
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_lcc_matches_reference(self, n, data):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]
+        )
+        edges = data.draw(st.lists(pairs, max_size=2 * n))
+        ids = data.draw(st.permutations(range(100, 100 + n)))
+        g = from_edges(n, edges, original_ids=ids)
+        assert largest_connected_component(g) == reference_largest_connected_component(g)
+
+    def test_connected_graph_is_returned_as_is(self):
+        g = path(4)
+        assert largest_connected_component(g) is g
+
+    def test_ids_past_int64(self):
+        big = 2**64
+        g = parse_edge_list(f"{big} {big + 1}\n{big + 1} 3\n")
+        assert g.original_ids == (big, big + 1, 3)
+        assert g.adjacency == ((1,), (0, 2), (1,))
+
+    def test_from_edges_id_past_int64(self):
+        edges = [(0, 1), (1, 2**70)]
+        assert _outcome(from_edges, 3, edges) == _outcome(reference_from_edges, 3, edges)
+        assert _outcome(from_edges, 3, edges)[0] is ValueError
+
+    def test_first_malformed_line_in_file_order(self):
+        # One line of each kind; each parse names the earliest.
+        lines = ["0 1", "2 2", "-1 3", "x 4", "1 2 3"]
+        for first in range(1, len(lines)):
+            text = "\n".join(lines[:1] + lines[first:] + lines[1:first])
+            with pytest.raises(GraphFormatError, match="line 2: "):
+                parse_edge_list(text)
+            assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+
+    def test_bom_bytes(self):
+        g = parse_edge_list("\ufeff# header\n0 1\n1 2\n".encode("utf-8"))
+        assert g == parse_edge_list("0 1\n1 2\n")

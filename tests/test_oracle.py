@@ -1,9 +1,14 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linkmetrics.graph import from_edges
 from linkmetrics.metrics import MetricSpec, tv_metric_spec
 from linkmetrics.oracle import exact_alphas, exact_polynomial_metric, exact_total_variation
 
-from helpers import er_instance, path, triangle
+from helpers import er_instance, path, reference_exact_polynomial_metric, triangle
 
 
 class TestExactTotalVariation:
@@ -100,3 +105,75 @@ class TestOverflow:
         spec = MetricSpec(terms=((3, 0, 1.0),))
         with pytest.raises(ValueError, match="overflows"):
             exact_polynomial_metric(triangle(), [1e200, 2.0, 3.0], spec)
+
+
+def _outcome(f, *args):
+    """The IEEE bits of what f(*args) returns, or the type and message of
+    the ValueError it raises."""
+    try:
+        return np.float64(f(*args)).view(np.uint64).item()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _full_mantissa(lo: int, hi: int):
+    """Positive floats in [2**lo, 2**(hi+1)) with all 52 mantissa bits
+    drawn, so that products round: hypothesis favors round numbers."""
+    return st.builds(
+        lambda m, e: math.ldexp(1.0 + m / 2**52, e), st.integers(0, 2**52 - 1), st.integers(lo, hi)
+    )
+
+
+@st.composite
+def poly_instances(draw):
+    """A graph of up to 10 nodes with at least one edge (isolated nodes
+    allowed), attributes up to 1e100, so products overflow while powers
+    do not, and up to 4 terms with l, k <= 3 and signed coefficients."""
+    n = draw(st.integers(2, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    g = from_edges(n, draw(st.lists(pairs, min_size=1, max_size=3 * n)))
+    attrs = st.one_of(
+        _full_mantissa(-10, 10), st.floats(1e-100, 1e100), st.sampled_from([1e60, 1e100])
+    )
+    y = draw(st.lists(attrs, min_size=n, max_size=n))
+    lk = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coefficients = st.one_of(
+        _full_mantissa(-3, 3),
+        _full_mantissa(-3, 3).map(lambda c: -c),
+        st.sampled_from([-1.7e308, -1e300, 1e300, 1.7e308, -1.0, 0.0]),
+    )
+    keys = draw(st.lists(lk, max_size=4, unique=True))
+    spec = MetricSpec(tuple((l, k, draw(coefficients)) for l, k in keys))
+    return g, y, spec
+
+
+class TestPolynomialMetricReference:
+    """exact_polynomial_metric equals the per-edge loop of spec.evaluate
+    bit for bit, and raises the same error when the sum overflows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly_instances())
+    def test_matches_reference(self, instance):
+        g, y, spec = instance
+        got = _outcome(exact_polynomial_metric, g, y, spec)
+        assert got == _outcome(reference_exact_polynomial_metric, g, y, spec)
+
+    def test_isolated_node_takes_no_power(self):
+        # Node 2 is on no edge; its cube would overflow.
+        g, spec = from_edges(3, [(0, 1)]), MetricSpec(((3, 0, 1.0),))
+        y = [1.0, 2.0, 1e200]
+        assert exact_polynomial_metric(g, y, spec) == reference_exact_polynomial_metric(g, y, spec)
+
+    def test_opposite_infinite_terms(self):
+        # u * v**2 and -u**2 * v both overflow, to +inf and -inf: fsum's own error.
+        g, spec = path(2), MetricSpec(((1, 2, 1.0), (2, 1, -1.0)))
+        for oracle in (exact_polynomial_metric, reference_exact_polynomial_metric):
+            with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+                oracle(g, [1e110, 1e110], spec)
+
+    def test_edge_sum_past_float_max(self):
+        # f(u, v) + f(v, u) = 2 * 1.7e308 overflows before it is halved.
+        spec = MetricSpec(((0, 0, 1.7e308),))
+        for oracle in (exact_polynomial_metric, reference_exact_polynomial_metric):
+            with pytest.raises(ValueError, match="overflows"):
+                oracle(path(2), [1.0, 2.0], spec)
