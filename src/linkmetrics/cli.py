@@ -62,10 +62,7 @@ def generate_synthetic(n: int, p: float, seed: int) -> Graph:
     edges = np.concatenate(blocks)
     if not len(edges):
         raise ValueError("generated graph has no edges; raise p or n")
-    g = graphmod.largest_connected_component(graphmod.from_edges(n, edges))
-    if g.node_count < 2:
-        raise ValueError("largest component has fewer than 2 nodes")
-    return g
+    return graphmod.largest_connected_component(graphmod.from_edges(n, edges))
 
 
 def generate_attributes(g: Graph, mean: float, seed: int) -> list[float]:

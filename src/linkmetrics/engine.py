@@ -199,10 +199,12 @@ def wac_run(
     `step_tolerance`, the state spread drops below `spread_tolerance`, or
     `max_iterations` is hit (converged=False). Runs that blow up to
     non-finite values abort early as unconverged, and a run whose
-    consensus value is not finite never counts as converged. The spread
-    test passes at no less than 16 ulp of the largest finite |x_i(0)|, the
-    finest spread that states of that size resolve. `stop_reason` names
-    the test that ended the run; the step test wins when both pass.
+    consensus value is not finite never counts as converged. Both
+    tolerances are multiplied by min(1, max_i |x_i(0)|) when that is
+    finite, so states below 1 stop at the relative precision of states of
+    size 1; the spread test passes at no less than 16 ulp of max_i |x_i(0)|.
+    `stop_reason` names the test that ended the run; the step test wins
+    when both pass.
 
     Each round gathers x at both ends of every edge u < v with one `take`,
     laid out as every v, then every u, in the edge order of `Graph.edges()`,
@@ -278,10 +280,12 @@ def _iterate(
     m = len(ends) // 2
     gathered, terms, steps = np.empty(2 * m), np.empty(2 * m), np.empty((_BLOCK, n))
     x_v, x_u, to_v, to_u = gathered[:m], gathered[m:], terms[:m], terms[m:]
-    spread_tolerance = cfg.spread_tolerance
+    step_tolerance, spread_tolerance = cfg.step_tolerance, cfg.spread_tolerance
     top = float(np.abs(x).max())
     if math.isfinite(top):
-        spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
+        size = min(1.0, top)
+        step_tolerance *= size
+        spread_tolerance = max(spread_tolerance * size, 16 * math.ulp(top))
 
     if sink is not None:
         sink(x[np.newaxis])
@@ -316,7 +320,7 @@ def _iterate(
             for k, (resid, spread) in enumerate(zip(resids.tolist(), spreads.tolist())):
                 if not math.isfinite(resid):
                     stop_reason = "nonfinite"
-                elif resid <= cfg.step_tolerance:
+                elif resid <= step_tolerance:
                     stop_reason = "step"
                 elif spread <= spread_tolerance:
                     stop_reason = "spread"

@@ -29,24 +29,32 @@ class Graph:
 
     Node ids are dense and 0-based. `original_ids[i]` keeps the label the
     node carried in the source file (identity for in-memory graphs), so
-    attribute files keyed by original ids can be joined back.
+    attribute files keyed by original ids can be joined back. Everything
+    else is derived from the adjacency, and cached where that takes a pass.
     """
 
-    node_count: int
     adjacency: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
-    edge_count: int
     original_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.node_count < 1:
+        if not self.adjacency:
             raise ValueError("graph must have at least one node")
         if not self.original_ids:
             object.__setattr__(self, "original_ids", tuple(range(self.node_count)))
         if len(self.original_ids) != self.node_count:
             raise ValueError("original_ids length mismatch")
-        if 2 * self.edge_count != sum(self.degrees):
-            raise ValueError("edge count inconsistent with degree sum")
+
+    @property
+    def node_count(self) -> int:
+        return len(self.adjacency)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.adjacency))
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(self.degrees) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once as (i, j) with i < j, in lexicographic order."""
@@ -64,9 +72,15 @@ class Graph:
         return src, dst
 
     @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's sorted nodes, by smallest node; searched on first use."""
+        dist = [-1] * self.node_count
+        return tuple(tuple(sorted(_bfs(self, s, dist))) for s in range(len(dist)) if dist[s] < 0)
+
+    @property
     def connected(self) -> bool:
-        """Whether every node reaches every other; one BFS on first use."""
-        return len(_components(self)[0]) == self.node_count
+        """Whether every node reaches every other."""
+        return len(self.components) == 1
 
 
 def from_edges(n: int, edges, original_ids=None) -> Graph:
@@ -88,14 +102,10 @@ def from_edges(n: int, edges, original_ids=None) -> Graph:
     # the adjacency in CSR order. (np.unique hashes them first: 10x slower.)
     keys = np.sort(np.concatenate((u * n + v, v * n + u)))
     src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    degrees = np.bincount(src, minlength=n).tolist()
-    ends = np.cumsum(degrees).tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     flat = np.arange(n).astype(object)[dst].tolist()  # one int object per node, shared
     return Graph(
-        node_count=n,
         adjacency=tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)),
-        degrees=tuple(degrees),
-        edge_count=len(flat) // 2,
         original_ids=tuple(original_ids) if original_ids is not None else (),
     )
 
@@ -145,21 +155,18 @@ def load_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.node_count
-    comps: list[list[int]] = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        for u in comp:  # breadth first: comp grows as the search reaches nodes
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _bfs(g: Graph, start: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from `start` through the nodes whose dist is
+    still -1: sets each reached node's dist to its hop count from start and
+    returns the nodes in the order reached, so a farthest node comes last."""
+    dist[start] = 0
+    order = [start]
+    for u in order:  # order grows as the search reaches nodes
+        for v in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+    return order
 
 
 def is_connected(g: Graph) -> bool:
@@ -175,28 +182,19 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     if g.connected:
         return g
-    comps = _components(g)
-    best = max(comps, key=lambda c: (len(c), -min(g.original_ids[i] for i in c)))
+    best = max(g.components, key=lambda c: (len(c), -min(g.original_ids[i] for i in c)))
     src, dst = g.edge_arrays
     keep = (src < dst) & np.isin(src, best)  # dst shares src's component
     edges = np.searchsorted(best, np.column_stack((src[keep], dst[keep])))  # best is sorted
     return from_edges(len(best), edges, original_ids=[g.original_ids[i] for i in best])
 
 
-def _bfs_eccentricity(g: Graph, start: int) -> int:
-    dist = [-1] * g.node_count
-    dist[start] = 0
-    order = [start]
-    for u in order:  # breadth first: order grows as the search reaches nodes
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-    if len(order) < g.node_count:
-        raise DisconnectedGraphError("diameter requires a connected graph")
-    return dist[order[-1]]  # the last node reached is the farthest
-
-
 def diameter(g: Graph) -> int:
     """Max shortest-path length over all node pairs (BFS from every node)."""
-    return max(_bfs_eccentricity(g, s) for s in range(g.node_count))
+    if not g.connected:
+        raise DisconnectedGraphError("diameter requires a connected graph")
+    ecc = 0
+    for s in range(g.node_count):
+        dist = [-1] * g.node_count
+        ecc = max(ecc, dist[_bfs(g, s, dist)[-1]])  # the last node reached is the farthest
+    return ecc

@@ -80,8 +80,8 @@ class _EdgeCountBlocked(Graph):
 
 def block_edge_count(g: Graph) -> Graph:
     blocked = object.__new__(_EdgeCountBlocked)
-    # edge_count deliberately not set: reads hit the raising property
-    for name in ("node_count", "adjacency", "degrees", "original_ids"):
+    # edge_count is derived, so reads hit the raising property
+    for name in ("adjacency", "original_ids"):
         object.__setattr__(blocked, name, getattr(g, name))
     return blocked
 
@@ -97,13 +97,8 @@ def reference_from_edges(n: int, edges, original_ids=None) -> Graph:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in adj)
-    degrees = tuple(len(a) for a in adjacency)
     return Graph(
-        node_count=n,
-        adjacency=adjacency,
-        degrees=degrees,
-        edge_count=sum(degrees) // 2,
+        adjacency=tuple(tuple(sorted(s)) for s in adj),
         original_ids=tuple(original_ids) if original_ids is not None else (),
     )
 
@@ -203,7 +198,7 @@ def reference_neighbor_weight_sums(g: Graph, y, k: int) -> list[float]:
     reference_validate_positive(y, "y")
     if any(d == 0 for d in g.degrees):
         raise engine.IsolatedNodeError("neighbor weight sum undefined for isolated node")
-    yk = reference_node_powers(y, k)
+    yk = reference_node_powers(y, k).tolist()  # Python floats overflow to inf silently
     out = []
     for nbrs in g.adjacency:
         acc = 0.0
@@ -246,10 +241,12 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     scale = eps / np.array(w, dtype=float)
     diff = np.empty(len(dst))
     trace = [x] if cfg.record_trace else None
-    spread_tolerance = cfg.spread_tolerance
+    step_tolerance, spread_tolerance = cfg.step_tolerance, cfg.spread_tolerance
     top = float(np.abs(x).max())
     if math.isfinite(top):
-        spread_tolerance = max(spread_tolerance, 16 * math.ulp(top))
+        size = min(1.0, top)
+        step_tolerance *= size
+        spread_tolerance = max(spread_tolerance * size, 16 * math.ulp(top))
 
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,7 +263,7 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
             if not math.isfinite(resid):
                 break
             converged = (
-                resid <= cfg.step_tolerance
+                resid <= step_tolerance
                 or float(x.max() - x.min()) <= spread_tolerance
             )
 

@@ -275,6 +275,20 @@ class TestRunExperiment:
         ])
         assert code == 2
 
+    def test_diverged_stages_write_nan(self, tmp_path):
+        out = tmp_path / "o"
+        code = main([
+            "--er", "60", "0.1", "--seed", "1", "--exp-mean", "5",
+            "--epsilon", "5", "--allow-unstable-epsilon",
+            "--max-iters", "2000", "--no-traces", "--out", str(out),
+        ])
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert [s["converged"] for s in summary["stages"]] == [False] * 3
+        values = [s["value"] for s in summary["stages"]] + list(summary["alphas"].values())
+        assert len(values) == 6 and all(map(math.isnan, values))
+        assert math.isnan(summary["metric_value"])
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = [
             "--er", "30", "0.2", "--seed", "9", "--exp-mean", "5",
@@ -509,6 +523,31 @@ class TestRunExperiment:
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "attrs_text, extra, message",
+        [
+            ("0\n1 2.0\n2 3.0\n", [], "attribute line 1: expected 'node value'"),
+            ("0 1.0\n1 x\n2 3.0\n", [], "attribute line 2: bad token"),
+            (TRIANGLE_ATTRS, ["--metric", "poly", "--spec", "SPEC"], "spec line 1: bad token"),
+            (TRIANGLE_ATTRS, ["--eps-frac", "1.5"], "epsilon_fraction must lie in (0, 1)"),
+            (TRIANGLE_ATTRS, ["--max-iters", "0"], "max_iterations must be >= 1"),
+            (None, ["--er", "1", "0.5", "--seed", "1", "--exp-mean", "5"], "n must be >= 2"),
+        ],
+    )
+    def test_input_error_exits_1(self, attrs_text, extra, message, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 1 x\n")
+        argv = [str(spec) if a == "SPEC" else a for a in extra]
+        if attrs_text is not None:
+            edges, attrs = tmp_path / "edges.txt", tmp_path / "attrs.txt"
+            edges.write_text(TRIANGLE_EDGES)
+            attrs.write_text(attrs_text)
+            argv += ["--edges", str(edges), "--attrs", str(attrs)]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
@@ -656,6 +695,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(edges_path="x", er_n=5, er_p=0.5, seed=1,
                              exp_mean=5.0).validate()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(attrs_path="y", exp_mean=5.0, seed=1), "exactly one attribute source"),
+            (dict(attrs_path="y", metric="x"), "metric must be 'tv' or 'poly'"),
+        ],
+    )
+    def test_validate_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(edges_path="x", **fields).validate()
 
     def test_synthetic_without_seed_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linkmetrics import cli, engine
 from linkmetrics.engine import (
@@ -405,6 +405,13 @@ _STAGE_VALUES = st.one_of(
 )
 
 
+@st.composite
+def _graphs_with_values(draw):
+    """A shuffled graph and one stage value per node."""
+    g = draw(shuffled_graphs())
+    return g, draw(st.lists(_STAGE_VALUES, min_size=g.node_count, max_size=g.node_count))
+
+
 def _outcome(f, *args):
     """The raw bits of what f(*args) returns (None stays None), or the
     type and message of the ValueError it raises."""
@@ -428,10 +435,10 @@ class TestArrayStageInputs:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(shuffled_graphs(), st.integers(0, 4), st.data())
-    def test_neighbor_weight_sums_match_reference(self, g, k, data):
-        size = g.node_count
-        y = data.draw(st.lists(_STAGE_VALUES, min_size=size, max_size=size))
+    @given(_graphs_with_values(), st.integers(0, 4))
+    @example((star(10), [1.0] + [1.7e308] * 9), 1)  # the hub's sum overflows to inf
+    def test_neighbor_weight_sums_match_reference(self, graph_and_values, k):
+        g, y = graph_and_values
         got = _outcome(neighbor_weight_sums, g, y, k)
         assert got == _outcome(reference_neighbor_weight_sums, g, y, k)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,22 @@ class TestParseEdgeList:
         assert g.edge_count == 2
 
 
+class TestStoredFields:
+    def test_only_adjacency_and_ids_are_stored(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["adjacency", "original_ids"]
+
+    def test_derived_counts(self):
+        g = Graph(adjacency=((1, 2), (0,), (0,)))
+        assert (g.node_count, g.degrees, g.edge_count) == (3, (2, 1, 1), 2)
+        assert g.original_ids == (0, 1, 2)
+
+    def test_rejects_empty_and_mismatched_ids(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            Graph(adjacency=())
+        with pytest.raises(ValueError, match="original_ids"):
+            Graph(adjacency=((1,), (0,)), original_ids=(5,))
+
+
 class TestLargestConnectedComponent:
     def test_keeps_bigger_component(self):
         g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
@@ -101,12 +119,33 @@ class TestConnectivityAndDiameter:
         from linkmetrics import graph
 
         calls = []
-        real = graph._components
-        monkeypatch.setattr(graph, "_components", lambda g: calls.append(g) or real(g))
-        g = path(3)
+        real = graph._bfs
+        monkeypatch.setattr(
+            graph, "_bfs", lambda g, start, dist: calls.append((g, start)) or real(g, start, dist)
+        )
+        g, h = path(3), from_edges(4, [(0, 1), (2, 3)])
         assert is_connected(g) and is_connected(g)
-        assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
-        assert len(calls) == 2
+        assert not is_connected(h) and not is_connected(h)
+        largest_connected_component(h)
+        # One search from each component's smallest node, on first use only.
+        assert calls == [(g, 0), (h, 0), (h, 2)]
+
+    def test_components_read_each_node_once(self):
+        class CountingTuple(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return super().__getitem__(i)
+
+        n = 20_000
+        base = from_edges(n, [(i, i + 1) for i in range(n - 1) if i % 100 != 99])
+        adjacency = CountingTuple(base.adjacency)
+        g = Graph(adjacency=adjacency, original_ids=base.original_ids)
+        assert not is_connected(g)
+        lcc = largest_connected_component(g)
+        assert (lcc.node_count, lcc.original_ids[0]) == (100, 0)
+        assert adjacency.reads == n
 
     def test_diameter_examples(self):
         assert diameter(triangle()) == 1

@@ -323,6 +323,17 @@ class TestOverflowingStages:
             polynomial_metric(triangle(), [1.0, 1.0, 1.0], spec)
 
 
+class TestAttributeScale:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_tv_scales_with_square(self, s, seed):
+        """TV(s * y) = s**2 * TV(y): tolerances scale with states below 1."""
+        g, y = er_instance(seed, n_lo=20, n_hi=60)
+        expect = s * s * total_variation_pipeline(g, y).total_variation
+        got = total_variation_pipeline(g, [s * v for v in y]).total_variation
+        assert abs(got - expect) <= 1e-9 * expect
+
+
 class TestShiftAttributes:
     def test_shift(self):
         assert shift_attributes([1.0, 2.0, 3.0], 10.0) == [11.0, 12.0, 13.0]
