@@ -99,37 +99,7 @@ def parse_attribute_file(text: str, g: Graph) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization
-
-
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(k)}: {_to_json(v, indent + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+# trace CSVs
 
 
 def _trace_writer(f: IO[str], n: int) -> engine.RowSink:
@@ -356,10 +326,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             }
 
     if cfg.shift is not None:
-        shifted_out = out / "shifted"
-        shifted_out.mkdir(exist_ok=True)
         shifted_y = metrics.shift_attributes(y, cfg.shift)
-        s_traces = shifted_out if cfg.write_traces else None
+        s_traces = out / "shifted" if cfg.write_traces else None
+        if s_traces is not None:
+            s_traces.mkdir(exist_ok=True)
         s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces)
         summary["shifted"] = {
             "shift": cfg.shift,
@@ -372,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         }
         stages += s_stages
 
-    (out / "summary.json").write_text(_to_json(summary) + "\n", encoding="utf-8")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return 0 if all(run.converged for _, run in stages) else 2
 
 
@@ -407,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--spec", dest="spec_path", metavar="PATH", help="polynomial spec file (l k c lines)"
     )
-    parser.add_argument("--eps-frac", dest="eps_fraction", type=float, metavar="F")
-    parser.add_argument("--epsilon", type=float, help="explicit step size for all stages")
+    step = parser.add_mutually_exclusive_group()  # --epsilon leaves --eps-frac unread
+    step.add_argument("--eps-frac", dest="eps_fraction", type=float, metavar="F")
+    step.add_argument("--epsilon", type=float, help="explicit step size for all stages")
     parser.add_argument(
         "--shift", type=float, metavar="C", help="also run with attributes + C (tv only)"
     )

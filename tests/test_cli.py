@@ -317,6 +317,36 @@ class TestRunExperiment:
         assert shifted["metric_value"] == pytest.approx(2.0, abs=1e-6)
         assert (out / "shifted" / "stage2_trace.csv").exists()
 
+    def test_shift_without_traces_writes_only_summary(self, triangle_files, tmp_path):
+        edges, attrs = triangle_files
+        out = tmp_path / "out"
+        assert main([
+            "--edges", str(edges), "--attrs", str(attrs), "--shift", "2",
+            "--no-traces", "--out", str(out),
+        ]) == 0
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+
+    def test_summary_floats_read_back_as_floats(self, triangle_files, tmp_path):
+        # Integral floats such as delta = 1.0 on the triangle keep their ".0".
+        edges, attrs = triangle_files
+        out = tmp_path / "out"
+        assert main([
+            "--edges", str(edges), "--attrs", str(attrs), "--oracle", "--shift", "10",
+            "--no-traces", "--out", str(out),
+        ]) == 0
+        text = (out / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text)
+        assert text == json.dumps(summary, indent=2) + "\n"
+        shifted = summary["shifted"]
+        floats = [summary["metric_value"], shifted["metric_value"], shifted["shift"],
+                  shifted["delta1_before"], shifted["delta1_after"]]
+        for part in (summary, shifted):
+            floats += [v for s in part["stages"] for v in (s["epsilon"], s["delta"], s["value"])]
+            floats += list(part["alphas"].values())
+        oracle = summary["oracle"]
+        floats += [oracle["metric_value"], oracle["delta"], *oracle["alphas"].values()]
+        assert [type(v) for v in floats] == [float] * 34
+
     def test_poly_metric_run(self, triangle_files, tmp_path):
         edges, attrs = triangle_files
         spec = tmp_path / "spec.txt"
@@ -680,16 +710,34 @@ class TestRunExperiment:
     def test_flags_map_to_config_fields(self):
         args = build_parser().parse_args([
             "--er", "30", "0.2", "--seed", "9", "--exp-mean", "5", "--metric", "poly",
-            "--spec", "s.txt", "--eps-frac", "0.5", "--epsilon", "0.1", "--shift", "2",
+            "--spec", "s.txt", "--epsilon", "0.1", "--shift", "2",
             "--analyze", "--oracle", "--out", "d", "--allow-unstable-epsilon",
             "--max-iters", "7", "--tol-step", "1e-9", "--tol-spread", "1e-8", "--no-traces",
         ])
         assert config_from_args(args) == ExperimentConfig(
             er_n=30, er_p=0.2, seed=9, exp_mean=5.0, metric="poly", spec_path="s.txt",
-            eps_fraction=0.5, epsilon=0.1, shift=2.0, analyze=True, with_oracle=True,
+            epsilon=0.1, shift=2.0, analyze=True, with_oracle=True,
             out_dir="d", allow_unstable_epsilon=True, max_iterations=7,
             step_tolerance=1e-9, spread_tolerance=1e-8, write_traces=False,
         )
+        # --eps-frac and --epsilon exclude each other, so it takes its own parse.
+        args = build_parser().parse_args([
+            "--edges", "e.txt", "--attrs", "a.txt", "--eps-frac", "0.5",
+        ])
+        assert config_from_args(args) == ExperimentConfig(
+            edges_path="e.txt", attrs_path="a.txt", eps_fraction=0.5,
+        )
+
+    def test_eps_frac_with_epsilon_rejected(self, tmp_path, capsys):
+        # With --epsilon, nothing would read the fraction.
+        out = tmp_path / "o"
+        code = main([
+            "--er", "60", "0.1", "--seed", "1", "--exp-mean", "5",
+            "--epsilon", "0.05", "--eps-frac", "0.5", "--out", str(out),
+        ])
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_conflicting_sources_rejected(self):
         with pytest.raises(ValueError):

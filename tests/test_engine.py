@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linkmetrics import cli, engine
+from linkmetrics import cli, engine, oracle, simharness
 from linkmetrics.engine import (
     ConfigurationError,
     ConsensusConfig,
@@ -18,7 +18,8 @@ from linkmetrics.engine import (
     node_powers,
     wac_run,
 )
-from linkmetrics.graph import DisconnectedGraphError, diameter, from_edges
+from linkmetrics.graph import DisconnectedGraphError, Graph, diameter, from_edges
+from linkmetrics.metrics import MetricSpec
 from linkmetrics.rng import SplitMix64
 
 from helpers import (
@@ -661,3 +662,45 @@ class TestDistributedDelta1:
             for i in range(g.node_count)
         )
         assert distributed_delta1(g, y) == central
+
+
+# Argument checks that no pipeline run reaches, one call each, across the
+# layers the pipeline is built from.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: max_step_size([1.0, 1.0], triangle()),
+         ConfigurationError, "weight vector length mismatch"),
+        (lambda: wac_run(triangle(), [1.0, 2.0], [2.0] * 3),
+         ConfigurationError, "x0/w length must equal node count"),
+        (lambda: wac_run(triangle(), [1.0] * 3, [2.0, 2.0]),
+         ConfigurationError, "x0/w length must equal node count"),
+        (lambda: neighbor_weight_sums(triangle(), [1.0] * 3, -1),
+         ValueError, "exponent k must be >= 0"),
+        (lambda: min_consensus(triangle(), [1.0] * 3, 0),
+         ValueError, "max_rounds must be >= 1"),
+        (lambda: oracle.exact_polynomial_metric(Graph(((),)), [1.0], MetricSpec(((1, 1, 1.0),))),
+         ValueError, "polynomial metric needs at least one edge"),
+        (lambda: oracle.exact_alphas(Graph(((1,), (0,), ())), [1.0] * 3),
+         ValueError, "alphas undefined with isolated nodes"),
+        (lambda: SplitMix64(0).exponential(0.0), ValueError, "mean must be positive"),
+        (lambda: simharness.run_synchronous(
+            triangle(), simharness.make_wac_program([2.0] * 3, 0.5), [1.0] * 3, 0),
+         ValueError, "max_rounds must be >= 1"),
+        (lambda: simharness.run_synchronous(
+            triangle(), simharness.make_wac_program([2.0] * 3, 0.5), [1.0] * 2, 5),
+         ValueError, "inputs length must equal node count"),
+        (lambda: simharness.make_wac_program([2.0] * 3, 0.0),
+         ValueError, "epsilon must be positive"),
+    ],
+    ids=[
+        "step-bound-w-length", "wac-x0-length", "wac-w-length", "negative-k",
+        "min-consensus-rounds", "oracle-no-edges", "oracle-isolated-node",
+        "exponential-mean", "harness-rounds", "harness-inputs-length", "harness-epsilon",
+    ],
+)
+def test_argument_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error
+    assert str(info.value) == message

@@ -3,9 +3,13 @@
 tests/golden/<case>/ holds the summary.json and trace CSVs written for each
 case below: tv_triangle_shift and poly_kite by commit 75cfdf2, before the
 CLI read every stage from its ConsensusRun, and poly_shared by commit
-be510d9, before terms that share a stage shared its run. A change to what a run computes, to the stage entries or to
-the serialization shows up here. --analyze is left out, because its
-eigenvalues depend on the LAPACK build.
+be510d9, before terms that share a stage shared its run. The three
+summary.json files were written again when the summary moved to
+json.dumps: only the float text changed, from 17 significant digits to
+the shortest repr that reads back exactly, and every value and every
+trace CSV stayed the same. A change to what a run computes, to the stage
+entries or to the serialization shows up here. --analyze is left out,
+because its eigenvalues depend on the LAPACK build.
 """
 
 from pathlib import Path

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linkmetrics import cli
-from linkmetrics.engine import ConsensusConfig, exact_consensus_target, wac_run
+from linkmetrics.engine import ConsensusConfig, ConsensusRun, exact_consensus_target, wac_run
 from linkmetrics.graph import from_edges
 from linkmetrics.rng import SplitMix64
 from linkmetrics.spectral import (
@@ -170,6 +170,17 @@ class TestEmpiricalConvergenceFactor:
         run = self._two_node_run(0.5, 40)
         with pytest.raises((NotEstimableError, ValueError)):
             empirical_convergence_factor(run, [1.0, 1.0])
+
+    def test_error_at_floor_not_estimable(self):
+        # 40 rounds, every one already at the target: the error is 0 in the window.
+        target = np.array([1.0, 1.0])
+        run = ConsensusRun(
+            final_states=target, iterations_used=40, converged=True, consensus_value=1.0,
+            epsilon=0.25, max_step_bound=1.0, weights=np.array([1.0, 1.0]),
+            stop_reason="step", trace=[target] * 41,
+        )
+        with pytest.raises(NotEstimableError, match="numerical floor"):
+            empirical_convergence_factor(run, target.tolist())
 
     def test_requires_trace(self):
         g = from_edges(2, [(0, 1)])
