@@ -154,6 +154,8 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> np.ndarray:
 
 def exact_consensus_target(x0: Sequence[float], w: Sequence[float]) -> float:
     """Closed-form weighted average sum(w_i x_i(0)) / sum(w_i)."""
+    if len(x0) != len(w):
+        raise ConfigurationError("x0 and w lengths differ")
     validate_positive(w, "w")
     return math.fsum(wi * xi for wi, xi in zip(w, x0)) / math.fsum(w)
 

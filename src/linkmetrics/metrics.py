@@ -44,9 +44,6 @@ class MetricSpec:
                 raise ValueError(f"duplicate term ({l},{k})")
             seen.add((l, k))
 
-    def evaluate(self, u: float, v: float) -> float:
-        return math.fsum(c * u**l * v**k for l, k, c in self.terms)
-
 
 def tv_metric_spec() -> MetricSpec:
     """Coefficients of f(u, v) = (u - v)**2."""

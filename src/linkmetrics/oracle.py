@@ -38,8 +38,9 @@ def exact_total_variation(g: Graph, y: Sequence[float]) -> float:
 
 def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> float:
     """Per-edge average of f symmetrized over the two edge endpoints; each
-    edge's f(u, v) equals `spec.evaluate(u, v)` bit for bit, from node
-    powers taken once with `**` and terms multiplied left to right."""
+    edge's f(u, v) equals the `math.fsum` of its terms c * u**l * v**k
+    bit for bit, from node powers taken once with `**` and terms
+    multiplied left to right."""
     if g.edge_count < 1:
         raise ValueError("polynomial metric needs at least one edge")
     src, dst = g.edge_arrays

@@ -179,13 +179,20 @@ def reference_node_powers(y, k: int) -> np.ndarray:
     return out
 
 
+def evaluate_spec(spec: metrics.MetricSpec, u: float, v: float) -> float:
+    """f(u, v) = sum c * u**l * v**k over the terms of `spec`."""
+    return math.fsum(c * u**l * v**k for l, k, c in spec.terms)
+
+
 def reference_exact_polynomial_metric(g: Graph, y, spec: metrics.MetricSpec) -> float:
     """oracle.exact_polynomial_metric as one generator over g.edges() that
     evaluates f both ways round on each edge."""
     if g.edge_count < 1:
         raise ValueError("polynomial metric needs at least one edge")
     edges = ((i, j) for i, nbrs in enumerate(g.adjacency) for j in nbrs if j > i)
-    values = (0.5 * (spec.evaluate(y[i], y[j]) + spec.evaluate(y[j], y[i])) for i, j in edges)
+    values = (
+        0.5 * (evaluate_spec(spec, y[i], y[j]) + evaluate_spec(spec, y[j], y[i])) for i, j in edges
+    )
     return oracle._fsum(values) / g.edge_count
 
 
@@ -332,32 +339,22 @@ def reference_generate_synthetic(n: int, p: float, seed: int) -> Graph:
     return largest_connected_component(from_edges(n, edges))
 
 
-def reference_run_synchronous(g: Graph, prog, inputs, max_rounds: int) -> HarnessTrace:
-    """simharness.run_synchronous as a plain loop: each round builds every
-    inbox and logs every delivered (sender, receiver) pair."""
-    states, outgoing = [], []
-    for i in range(g.node_count):
-        state, msg = prog.init(i, g.degrees[i], inputs[i])
-        states.append(state)
-        outgoing.append(msg)
-    snapshots = [list(states)]
+def reference_run_synchronous(g: Graph, program, inputs, max_rounds: int) -> HarnessTrace:
+    """simharness.run_synchronous as a plain per-node WAC loop: each round
+    builds every inbox and logs every delivered (sender, receiver) pair."""
+    states = [float(v) for v in inputs]
+    snapshots = [states]
     pairs: set[tuple[int, int]] = set()
-    rounds = 0
     for _ in range(max_rounds):
-        if all(prog.halted(s) for s in states):
-            break
-        new_states, new_outgoing = [], []
+        new_states = []
         for i in range(g.node_count):
-            inbox = tuple(outgoing[j] for j in g.adjacency[i])
+            inbox = tuple(states[j] for j in g.adjacency[i])
             for j in g.adjacency[i]:
                 pairs.add((j, i))
-            state, msg = prog.on_round(states[i], inbox)
-            new_states.append(state)
-            new_outgoing.append(msg)
-        states, outgoing = new_states, new_outgoing
-        rounds += 1
-        snapshots.append(list(states))
-    return HarnessTrace(states=snapshots, rounds_executed=rounds, message_pairs=pairs)
+            new_states.append(engine.wac_step_value(states[i], inbox, program[i]))
+        states = new_states
+        snapshots.append(states)
+    return HarnessTrace(states=snapshots, rounds_executed=max_rounds, message_pairs=pairs)
 
 
 def reference_polynomial_terms(g: Graph, y, spec: metrics.MetricSpec, cfg=None):

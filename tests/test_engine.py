@@ -692,11 +692,25 @@ class TestDistributedDelta1:
          ValueError, "inputs length must equal node count"),
         (lambda: simharness.make_wac_program([2.0] * 3, 0.0),
          ValueError, "epsilon must be positive"),
+        (lambda: simharness.run_synchronous(
+            path(3), simharness.make_wac_program([1.0] * 5, 0.5), [1.0] * 3, 5),
+         ValueError, "program length must equal node count"),
+        (lambda: simharness.run_synchronous(
+            path(3), simharness.make_wac_program([1.0] * 2, 0.5), [1.0] * 3, 5),
+         ValueError, "program length must equal node count"),
+        (lambda: simharness.make_wac_program([2.0] * 3, math.nan),
+         ValueError, "epsilon must be positive"),
+        (lambda: simharness.make_wac_program([2.0] * 3, math.inf),
+         ValueError, "epsilon must be finite"),
+        (lambda: exact_consensus_target([1.0, 2.0, 3.0], [1.0, 1.0]),
+         ConfigurationError, "x0 and w lengths differ"),
     ],
     ids=[
         "step-bound-w-length", "wac-x0-length", "wac-w-length", "negative-k",
         "min-consensus-rounds", "oracle-no-edges", "oracle-isolated-node",
         "exponential-mean", "harness-rounds", "harness-inputs-length", "harness-epsilon",
+        "harness-program-long", "harness-program-short", "harness-epsilon-nan",
+        "harness-epsilon-inf", "target-lengths",
     ],
 )
 def test_argument_errors(call, error, message):

@@ -20,6 +20,7 @@ from helpers import (
     block_edge_count,
     cycle,
     er_instance,
+    evaluate_spec,
     path,
     preferential_attachment,
     reference_polynomial_terms,
@@ -39,7 +40,7 @@ class TestMetricSpec:
 
     def test_evaluate_tv_form(self):
         spec = tv_metric_spec()
-        assert spec.evaluate(3.0, 1.0) == 4.0
+        assert evaluate_spec(spec, 3.0, 1.0) == 4.0
 
     def test_parse(self):
         spec = parse_metric_spec("# f = u*v\n1 1 1.0\n")

@@ -148,7 +148,7 @@ def poly_instances(draw):
 
 
 class TestPolynomialMetricReference:
-    """exact_polynomial_metric equals the per-edge loop of spec.evaluate
+    """exact_polynomial_metric equals the per-edge loop of evaluate_spec
     bit for bit, and raises the same error when the sum overflows."""
 
     @settings(max_examples=300, deadline=None)

@@ -4,12 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkmetrics.engine import ConsensusConfig, max_step_size, neighbor_weight_sums, wac_run
 from linkmetrics.graph import from_edges
-from linkmetrics.simharness import (
-    NodeProgram,
-    make_min_program,
-    make_wac_program,
-    run_synchronous,
-)
+from linkmetrics.simharness import make_wac_program, run_synchronous
 
 from helpers import (
     complete,
@@ -65,20 +60,6 @@ class TestRunSynchronous:
         trace = run_synchronous(g, prog, [1.0, 2.0, 3.0], max_rounds=1)
         assert trace.state_values()[1] == [1.75, 2.0, 2.25]
 
-    def test_min_program_round_one(self):
-        trace = run_synchronous(path(3), make_min_program(), [3.0, 1.0, 2.0], max_rounds=5)
-        assert trace.state_values()[1] == [1.0, 1.0, 1.0]
-
-    def test_all_halted_initially_leaves_only_round_zero(self):
-        prog = NodeProgram(
-            init=lambda i, d, x: (x, x),
-            on_round=lambda s, msgs: (s, s),
-            halted=lambda s: True,
-        )
-        trace = run_synchronous(triangle(), prog, [1.0, 2.0, 3.0], max_rounds=10)
-        assert trace.rounds_executed == 0
-        assert len(trace.states) == 1
-
     def test_snapshot_count(self):
         g = triangle()
         prog = make_wac_program([2.0] * 3, 0.5)
@@ -97,26 +78,10 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("max_rounds", [1, 3, 40])
     def test_wac_and_min_programs(self, g, max_rounds):
         y = [1.0 + (7 * i % 11) / 3.0 for i in range(g.node_count)]
-        for prog in (make_wac_program([2.0] * g.node_count, 0.3), make_min_program()):
-            fast = run_synchronous(g, prog, y, max_rounds)
-            ref = reference_run_synchronous(g, prog, y, max_rounds)
-            assert fast == ref
-
-    def test_min_program_halting_early(self):
-        g, y = er_instance(4, n_lo=20, n_hi=40)
-        fast = run_synchronous(g, make_min_program(), y, 100)
-        assert fast.rounds_executed < 100
-        assert fast == reference_run_synchronous(g, make_min_program(), y, 100)
-
-    def test_no_round_runs(self):
-        prog = NodeProgram(
-            init=lambda i, d, x: (x, x),
-            on_round=lambda s, msgs: (s, s),
-            halted=lambda s: True,
-        )
-        fast = run_synchronous(triangle(), prog, [1.0, 2.0, 3.0], 10)
-        assert fast == reference_run_synchronous(triangle(), prog, [1.0, 2.0, 3.0], 10)
-        assert fast.message_pairs == set()
+        prog = make_wac_program([2.0] * g.node_count, 0.3)
+        fast = run_synchronous(g, prog, y, max_rounds)
+        ref = reference_run_synchronous(g, prog, y, max_rounds)
+        assert fast == ref
 
 
 class TestWacProgram:
@@ -130,7 +95,7 @@ class TestWacProgram:
         g = triangle()
         prog = make_wac_program([2.0] * 3, 0.5)
         trace = run_synchronous(g, prog, [4.0] * 3, max_rounds=20)
-        assert all(snap == [(4.0, 0.25)] * 3 for snap in trace.states)
+        assert all(snap == [4.0] * 3 for snap in trace.states)
 
     def test_long_run_agrees_with_mean(self):
         g = triangle()
@@ -138,30 +103,6 @@ class TestWacProgram:
         trace = run_synchronous(g, prog, [1.0, 2.0, 3.0], max_rounds=200)
         final = trace.state_values()[-1]
         assert all(abs(v - 2.0) <= 1e-10 for v in final)
-
-
-class TestMinProgram:
-    def test_star_center_min_one_effective_round(self):
-        g = star(6)
-        x0 = [0.5, 3.0, 4.0, 5.0, 6.0, 7.0]
-        trace = run_synchronous(g, make_min_program(), x0, max_rounds=10)
-        values = trace.state_values()
-        assert values[1] == [0.5] * 6
-
-    def test_uniform_start_stabilizes_immediately(self):
-        trace = run_synchronous(triangle(), make_min_program(), [2.0] * 3, max_rounds=10)
-        values = trace.state_values()
-        assert all(v == [2.0] * 3 for v in values)
-        # first round detects stability, nothing changes afterwards
-        assert trace.rounds_executed <= 2
-
-    def test_p5_end_min_within_diameter(self):
-        g = path(5)
-        trace = run_synchronous(g, make_min_program(), [1.0, 5.0, 4.0, 3.0, 2.0], max_rounds=10)
-        values = trace.state_values()
-        changed = [r for r in range(1, len(values)) if values[r] != values[r - 1]]
-        assert values[-1] == [1.0] * 5
-        assert (changed[-1] if changed else 0) <= 4
 
 
 class TestCrossValidation:
@@ -218,7 +159,8 @@ class TestCrossValidation:
 
     def test_locality_audit(self):
         g, y = er_instance(1, n_lo=20, n_hi=40)
-        trace = run_synchronous(g, make_min_program(), y, max_rounds=30)
+        w = [float(d) for d in g.degrees]
+        trace = run_synchronous(g, make_wac_program(w, 0.9), y, max_rounds=30)
         assert trace.message_pairs <= directed_edge_pairs(g)
 
     def test_determinism(self):
