@@ -2,8 +2,9 @@
 consensus pipelines, optionally compare against the centralized reference
 and attach a spectral report, and write traces plus a summary JSON.
 
-Exit codes: 0 = all stages converged, 1 = input/configuration error,
-2 = at least one stage failed to converge.
+Exit codes: 0 = all stages converged, 2 = at least one stage failed to
+converge, 1 = input/configuration error; configuration errors exit before
+any input is read, and a failure once --out exists removes what it wrote.
 """
 
 from __future__ import annotations
@@ -164,6 +165,8 @@ class ExperimentConfig:
             raise ValueError("metric must be 'tv' or 'poly'")
         if (self.metric == "poly") != (self.spec_path is not None):
             raise ValueError("--metric poly and --spec PATH go together")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError("--epsilon must be positive and finite")
         if self.allow_unstable_epsilon and self.epsilon is None:
             # --eps-frac already lies in (0, 1), so nothing would read it.
             raise ValueError("--allow-unstable-epsilon applies to --epsilon only")
@@ -186,21 +189,18 @@ class ExperimentConfig:
         )
 
 
-Stages = list[tuple[str, ConsensusRun]]
-
-
 def _run_metric(
     g: Graph, y: list[float], spec: metrics.MetricSpec | None, ccfg: ConsensusConfig,
-    out: Path | None,
-) -> tuple[float, dict, Stages]:
+    out: Path | None, undo: contextlib.ExitStack,
+) -> tuple[float, dict, list[tuple[str, ConsensusRun]]]:
     """Run total variation (spec None) or the polynomial metric `spec`.
 
     Returns the metric value, its alphas and its (stage name, run) pairs.
     With `out`, each distinct run streams its trace to
     out/<name>_trace.csv while it iterates, under the first stage name
     that lists it, and the file is copied to the run's other names once
-    the metric is done. If the metric fails, every trace file it started
-    is removed.
+    the metric is done. The removal of every trace path, and of `out` if
+    this makes it, is registered on `undo` before anything is written.
     """
     if spec is None:
         # The runs of TVResult.runs; its S(0,0) is listed nowhere.
@@ -210,61 +210,63 @@ def _run_metric(
         keys = [lk for l, k, _ in spec.terms for lk in ((l, k), (k, 0))]
         names = [f"term_{l}_{k}_stage{i}" for l, k, _ in spec.terms for i in (1, 2)]
     paths = [out / f"{name}_trace.csv" for name in names] if out is not None else []
+    if out is not None and not out.is_dir():
+        out.mkdir()
+        undo.callback(out.rmdir)
     first: dict[tuple[int, int], Path] = {}  # stage -> the trace CSV it streams to
     for lk, path in zip(keys, paths):
+        undo.callback(path.unlink, missing_ok=True)
         first.setdefault(lk, path)
-    files = contextlib.ExitStack()
-    started: list[Path] = []
-
-    def sink(l: int, k: int) -> engine.RowSink | None:
-        if (l, k) not in first:
-            return None
-        f = files.enter_context(_trace_file(first[l, k]))
-        started.append(first[l, k])
-        return _trace_writer(f, g.node_count)
-
-    try:
-        with files:
-            if spec is None:
-                r = metrics.total_variation_pipeline(g, y, ccfg, sink)
-                value, runs = r.total_variation, r.runs
-                alphas = {"alpha1": r.alpha1, "alpha2": r.alpha2, "alpha3": r.alpha3}
-            else:
-                terms = metrics.polynomial_metric_terms(g, y, spec, ccfg, sink)
-                value = metrics.polynomial_metric_value(terms)
-                runs = [run for t in terms for run in t.runs]
-                alphas = {
-                    f"term_{t.l}_{t.k}":
-                        {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
-                    for t in terms
-                }
-    except BaseException:
-        for path in started:
-            path.unlink(missing_ok=True)
-        raise
+    with contextlib.ExitStack() as files:
+        sinks = {}
+        for lk, path in first.items():
+            sinks[lk] = _trace_writer(files.enter_context(_trace_file(path)), g.node_count)
+        if spec is None:
+            r = metrics.total_variation_pipeline(g, y, ccfg, sinks)
+            value, runs = r.total_variation, r.runs
+            alphas = {"alpha1": r.alpha1, "alpha2": r.alpha2, "alpha3": r.alpha3}
+        else:
+            terms = metrics.polynomial_metric_terms(g, y, spec, ccfg, sinks)
+            value = metrics.polynomial_metric_value(terms)
+            runs = [run for t in terms for run in t.runs]
+            alphas = {
+                f"term_{t.l}_{t.k}":
+                    {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
+                for t in terms
+            }
     for lk, path in zip(keys, paths):
         if path != first[lk]:
             shutil.copyfile(first[lk], path)
     return value, alphas, list(zip(names, runs))
 
 
-def _stage_entries(stages: Stages) -> list[dict]:
-    """summary.json entries of `stages`."""
-    return [
-        {
-            "stage": name,
-            "epsilon": run.epsilon,
-            "delta": run.max_step_bound,
-            "iterations": run.iterations_used,
-            "converged": run.converged,
-            "value": run.consensus_value,
-        }
-        for name, run in stages
-    ]
+def _metric_summary(value: float, alphas: dict, stages: list[tuple[str, ConsensusRun]]) -> dict:
+    """summary.json entries of one metric: its stages, alphas and value."""
+    return {
+        "stages": [
+            {
+                "stage": name,
+                "epsilon": run.epsilon,
+                "delta": run.max_step_bound,
+                "iterations": run.iterations_used,
+                "converged": run.converged,
+                "value": run.consensus_value,
+            }
+            for name, run in stages
+        ],
+        "alphas": alphas,
+        "metric_value": value,
+    }
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     cfg.validate()
+    ccfg = cfg.consensus()
+    spec = None
+    if cfg.metric == "poly":
+        spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8-sig"))
+        if not spec.terms:  # nothing would be computed
+            raise ValueError("spec has no terms")
 
     if cfg.edges_path is not None:
         g = graphmod.largest_connected_component(
@@ -280,69 +282,60 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ccfg = cfg.consensus()
-    spec = None
-    if cfg.metric == "poly":
-        spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8-sig"))
-        if not spec.terms:  # nothing would be computed
-            raise ValueError("spec has no terms")
-
-    traces = out if cfg.write_traces else None
-    value, alphas, stages = _run_metric(g, y, spec, ccfg, traces)
-    summary: dict = {
-        "graph": {"n": g.node_count, "m": g.edge_count},
-        "stages": _stage_entries(stages),
-        "alphas": alphas,
-        "metric_value": value,
-        "oracle": None,
-        "spectral": None,
-    }
-
-    if cfg.with_oracle and spec is None:
-        ref = oracle.exact_total_variation(g, y)
-        a1, a2, a3 = oracle.exact_alphas(g, y)
-        summary["oracle"] = {
-            "metric_value": ref,
-            "delta": value - ref,
-            "alphas": {"alpha1": a1, "alpha2": a2, "alpha3": a3},
+    with contextlib.ExitStack() as undo:
+        traces = out if cfg.write_traces else None
+        value, alphas, stages = _run_metric(g, y, spec, ccfg, traces, undo)
+        summary: dict = {
+            "graph": {"n": g.node_count, "m": g.edge_count},
+            **_metric_summary(value, alphas, stages),
+            "oracle": None,
+            "spectral": None,
         }
-    elif cfg.with_oracle:
-        ref = oracle.exact_polynomial_metric(g, y, spec)
-        summary["oracle"] = {"metric_value": ref, "delta": value - ref}
 
-    if cfg.analyze:
-        summary["spectral"] = {}
-        # The report depends on (w, epsilon) alone; stages that share them share it.
-        reports: dict[tuple, spectral.SpectralReport] = {}
-        for name, run in stages:
-            key = (run.weights.tobytes(), run.epsilon)
-            if key not in reports:
-                reports[key] = spectral.spectral_report(g, run.weights, run.epsilon)
-            report = reports[key]
-            summary["spectral"][name] = {
-                "epsilon": report.epsilon,
-                "lambda1": report.eigenvalues[0],
-                "rho": report.rho,
+        if cfg.with_oracle and spec is None:
+            ref = oracle.exact_total_variation(g, y)
+            a1, a2, a3 = oracle.exact_alphas(g, y)
+            summary["oracle"] = {
+                "metric_value": ref,
+                "delta": value - ref,
+                "alphas": {"alpha1": a1, "alpha2": a2, "alpha3": a3},
             }
+        elif cfg.with_oracle:
+            ref = oracle.exact_polynomial_metric(g, y, spec)
+            summary["oracle"] = {"metric_value": ref, "delta": value - ref}
 
-    if cfg.shift is not None:
-        shifted_y = metrics.shift_attributes(y, cfg.shift)
-        s_traces = out / "shifted" if cfg.write_traces else None
-        if s_traces is not None:
-            s_traces.mkdir(exist_ok=True)
-        s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces)
-        summary["shifted"] = {
-            "shift": cfg.shift,
-            "stages": _stage_entries(s_stages),
-            "alphas": s_alphas,
-            "metric_value": s_value,
-            # Stage 2 (WAC1) is the one whose bound Delta1 the shift enlarges.
-            "delta1_before": stages[1][1].max_step_bound,
-            "delta1_after": s_stages[1][1].max_step_bound,
-        }
-        stages += s_stages
+        if cfg.analyze:
+            summary["spectral"] = {}
+            # The report depends on (w, epsilon) alone; stages that share them share it.
+            reports: dict[tuple, spectral.SpectralReport] = {}
+            for name, run in stages:
+                key = (run.weights.tobytes(), run.epsilon)
+                if key not in reports:
+                    reports[key] = spectral.spectral_report(g, run.weights, run.epsilon)
+                report = reports[key]
+                summary["spectral"][name] = {
+                    "epsilon": report.epsilon,
+                    "lambda1": report.eigenvalues[0],
+                    "rho": report.rho,
+                }
 
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        if cfg.shift is not None:
+            shifted_y = metrics.shift_attributes(y, cfg.shift)
+            s_traces = out / "shifted" if cfg.write_traces else None
+            s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces, undo)
+            summary["shifted"] = {
+                "shift": cfg.shift,
+                **_metric_summary(s_value, s_alphas, s_stages),
+                # Stage 2 (WAC1) is the one whose bound Delta1 the shift enlarges.
+                "delta1_before": stages[1][1].max_step_bound,
+                "delta1_after": s_stages[1][1].max_step_bound,
+            }
+            stages += s_stages
+
+        summary_path = out / "summary.json"
+        undo.callback(summary_path.unlink, missing_ok=True)
+        summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        undo.pop_all()
     return 0 if all(run.converged for _, run in stages) else 2
 
 

@@ -118,7 +118,7 @@ def max_step_size(w: Sequence[float], g: Graph) -> float:
 def node_powers(y: Sequence[float], k: int) -> np.ndarray:
     """y_i**k for every node i as a float64 array: the power a stage takes
     as input. Powers 0, 1 and 2 are ones, y and y * y (correctly rounded);
-    others are libm's pow, node by node, which np.power does not match.
+    others are libm's pow on Python floats, node by node (np.power differs).
 
     A power that overflows or is not finite raises ValueError naming the
     first such node and the exponent; one that underflows to 0.0 is kept.
@@ -129,7 +129,7 @@ def node_powers(y: Sequence[float], k: int) -> np.ndarray:
             out = out * out if k == 2 else out if k == 1 else np.ones(len(out))
     else:
         out = np.empty(len(y))
-        for i, v in enumerate(y):
+        for i, v in enumerate(np.asarray(y, dtype=float).tolist()):
             try:
                 out[i] = pow(v, k)
             except OverflowError:
@@ -137,7 +137,7 @@ def node_powers(y: Sequence[float], k: int) -> np.ndarray:
     ok = np.isfinite(out)
     if not ok.all():
         i = ok.argmin()  # the first node that fails
-        raise ValueError(f"node {i}: attribute {y[i]!r} to the power {k} is not finite")
+        raise ValueError(f"node {i}: attribute {float(y[i])!r} to the power {k} is not finite")
     return out
 
 

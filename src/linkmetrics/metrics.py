@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 from . import engine
 from .engine import ConsensusConfig, ConsensusRun, RowSink
 from .graph import Graph, data_lines
 
-SinkFactory = Callable[[int, int], RowSink | None]
-"""Called with (l, k) once per distinct stage S(l, k), just before it runs:
-the row sink for that stage's rounds, or None to keep no rows."""
+Sinks = Mapping[tuple[int, int], RowSink]
+"""The row sink of each stage S(l, k) whose rounds are kept, by (l, k); a
+stage not in the mapping keeps no rows."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def shift_attributes(y: Sequence[float], c: float) -> list[float]:
 
 def _stage(
     g: Graph, y: Sequence[float], l: int, k: int, cfg: ConsensusConfig | None,
-    sinks: SinkFactory | None = None,
+    sinks: Sinks | None = None,
 ) -> ConsensusRun:
     """Stage S(l, k): states y_i**l, weights the neighbor sums of y_j**k."""
     w = engine.neighbor_weight_sums(g, y, k)  # validates y
@@ -105,7 +105,7 @@ def _stage(
     # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
     if not math.isfinite(max(g.degrees) * float(x0.max())):
         raise ValueError(f"stage S({l},{k}): largest degree times largest y**{l} overflows")
-    return engine.wac_run(g, x0, w, cfg, sinks(l, k) if sinks else None)
+    return engine.wac_run(g, x0, w, cfg, sinks.get((l, k)) if sinks else None)
 
 
 def _finite(value: float, alphas: Sequence[float], name: str) -> float:
@@ -121,7 +121,7 @@ _FOLDED_TV = MetricSpec(terms=((2, 0, 2.0), (1, 1, -2.0)))
 
 def total_variation_pipeline(
     g: Graph, y: Sequence[float], cfg: ConsensusConfig | None = None,
-    sinks: SinkFactory | None = None,
+    sinks: Sinks | None = None,
 ) -> TVResult:
     """Total variation as the polynomial metric 2u**2 - 2uv.
 
@@ -131,7 +131,7 @@ def total_variation_pipeline(
     three other stages: stage 1 S(2,0), squared attributes with degree
     weights; stage 2 (WAC1) S(1,1), attributes with neighbor attribute
     sums as weights; stage 3 (WAC2) S(1,0), attributes with degree weights.
-    `sinks` is asked for all four runs, as in `polynomial_metric_terms`.
+    `sinks` is read as in `polynomial_metric_terms`; S(0,0) need not be in it.
     """
     squares, cross = terms = polynomial_metric_terms(g, y, _FOLDED_TV, cfg, sinks)
     runs = (squares.runs[0], *cross.runs)
@@ -141,7 +141,7 @@ def total_variation_pipeline(
 
 def polynomial_metric_terms(
     g: Graph, y: Sequence[float], spec: MetricSpec, cfg: ConsensusConfig | None = None,
-    sinks: SinkFactory | None = None,
+    sinks: Sinks | None = None,
 ) -> list[PolyTermResult]:
     """One result per term (l, k) of `spec`, from stages S(l,k) and S(k,0).
 
@@ -149,7 +149,7 @@ def polynomial_metric_terms(
     uses it gets the same ConsensusRun. The term value follows the
     edge-averaged convention h_lk = alpha_1lk * alpha_2lk * c_lk, i.e. the
     per-edge average with f symmetrized over the two edge endpoints.
-    `sinks`, if given, supplies each distinct stage's row sink.
+    `sinks`, if given, maps a distinct stage's (l, k) to its row sink.
     """
     runs: dict[tuple[int, int], ConsensusRun] = {}
     terms = []

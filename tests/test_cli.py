@@ -214,9 +214,9 @@ class TestStreamedTraces:
         "extra, opened",
         [
             # y**400 overflows in S(400,0), after S(1,1) and S(1,0) have finished.
-            (["--metric", "poly", "--spec"], 2),
+            (["--metric", "poly", "--spec"], 4),
             # The unstable step size fails S(2,0) once its trace file is open.
-            (["--epsilon", "100"], 1),
+            (["--epsilon", "100"], 3),
         ],
         ids=["finished", "partial"],
     )
@@ -230,6 +230,28 @@ class TestStreamedTraces:
         out = tmp_path / "out"
         assert main(ER_ARGS + extra + ["--out", str(out)]) == 1
         assert len(files) == opened
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "edges, big, extra",
+        [
+            # The metric completes; the reference value then overflows.
+            ([(i, j) for i in range(12) for j in range(i + 1, 12)], 2.5e153, ["--oracle"]),
+            # The metric completes; the shifted one overflows in S(2,0).
+            ([(0, 1), (1, 2), (2, 3), (3, 0)], 9e153, ["--shift", "1e153"]),
+        ],
+        ids=["oracle", "shifted"],
+    )
+    def test_failure_after_metric_leaves_out_empty(self, edges, big, extra, tmp_path, capsys):
+        n = max(map(max, edges)) + 1
+        (tmp_path / "edges.txt").write_text("".join(f"{i} {j}\n" for i, j in edges))
+        (tmp_path / "attrs.txt").write_text(
+            "".join(f"{i} {1.0 if i % 2 else big!r}\n" for i in range(n))
+        )
+        out = tmp_path / "out"
+        argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
+        assert main(argv + extra + ["--max-iters", "2000", "--out", str(out)]) == 1
+        assert "overflows" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 
@@ -562,6 +584,9 @@ class TestRunExperiment:
             (TRIANGLE_ATTRS, ["--eps-frac", "1.5"], "epsilon_fraction must lie in (0, 1)"),
             (TRIANGLE_ATTRS, ["--max-iters", "0"], "max_iterations must be >= 1"),
             (None, ["--er", "1", "0.5", "--seed", "1", "--exp-mean", "5"], "n must be >= 2"),
+            (TRIANGLE_ATTRS, ["--tol-step", "nan"], "tolerances must be positive and finite"),
+            (TRIANGLE_ATTRS, ["--epsilon", "nan"], "--epsilon must be positive and finite"),
+            (TRIANGLE_ATTRS, ["--epsilon", "-1"], "--epsilon must be positive and finite"),
         ],
     )
     def test_input_error_exits_1(self, attrs_text, extra, message, tmp_path, capsys):
@@ -577,6 +602,7 @@ class TestRunExperiment:
         assert main(argv + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -124,6 +124,16 @@ class TestNodePowers:
     def test_underflow_to_zero_kept(self):
         assert node_powers([1e-170, 2.0], 2).tolist() == [0.0, 4.0]
 
+    def test_container_of_y_does_not_matter(self):
+        y = [0.3, 1.136746719789858, 2.0, 7.77, 1e-40, 123.456]
+        for k in range(3, 8):
+            bits = node_powers(y, k).view(np.uint64).tolist()
+            assert node_powers(tuple(y), k).view(np.uint64).tolist() == bits
+            assert node_powers(np.array(y), k).view(np.uint64).tolist() == bits
+        # NumPy's scalar power would warn; libm's pow on a float raises.
+        with pytest.raises(ValueError, match=r"node 0: attribute 1e\+200 to the power 3\b"):
+            node_powers(np.array([1e200, 1.0, 2.0]), 3)
+
     def test_neighbor_sum_overflow_is_value_error(self):
         with pytest.raises(ValueError, match="power 2"):
             neighbor_weight_sums(triangle(), [1e200, 2.0, 3.0], 2)
