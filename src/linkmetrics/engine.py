@@ -3,12 +3,10 @@
 The weighted-average update is
     x_i(k+1) = x_i(k) + (eps / w_i) * sum_{j in N_i} (x_j(k) - x_i(k)),
 with all updates reading round-k values (Jacobi contract). Neighbor
-accumulation runs in ascending neighbor-id order. `wac_run` applies it to
-all nodes at once: each round gathers the states at both ends of every
-undirected edge u < v once, in lexicographic order, and one `np.bincount`
-adds each node's terms from its smaller-id neighbors, then its larger-id
-ones, both ascending, which keeps that order. `wac_step_value` is the
-per-node form the simulation harness runs, and the two give bit-identical
+accumulation runs in ascending neighbor-id order: every neighbor pass is
+one `np.bincount` over the layout `_neighbor_layout` builds. `wac_run`
+applies the update to all nodes at once, and `wac_step_value` is the
+per-node form the simulation harness runs; the two give bit-identical
 traces. `wac_run` decides stopping once per block of rounds, discards
 the rounds a block computed past the stop and hands the rounds it keeps
 to an optional row sink, block by block, as they are decided.
@@ -78,18 +76,16 @@ class ConsensusRun:
     """The test that ended the run: "step", "spread", "cap" (max_iterations
     reached) or "nonfinite" (a round's step was not finite)."""
     trace: list[np.ndarray] | None = None
-    """With `record_trace`, one 1-D float64 row of N states per round:
-    row k is x(k) and row 0 is x(0). It is the list that collects what
-    `wac_run` hands a row sink, so it holds every round at once; pass a
-    sink instead to consume the rounds block by block. Rows after the
-    first are views of the blocks the iteration computed, kept without a
-    copy; share them, but never write to them."""
+    """With `record_trace`, the rows `wac_run` would hand a row sink, all
+    held at once: row k is x(k), a 1-D view of the engine's blocks that
+    may be shared but never written to."""
 
 
 RowSink = Callable[[np.ndarray], None]
 """Receives a 2-D float64 array of consecutive rounds' states, one row of
-N per round: first x(0) alone, then the kept rounds of each block. The
-array is the engine's, fresh for each call and never written again, so a
+N per round: first x(0) alone, then each block's kept rounds once the
+block's stop is decided, so a round discarded after the stop never
+arrives. The array is fresh for each call and never written again, so a
 sink may keep it but must not write to it."""
 
 
@@ -148,8 +144,20 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> np.ndarray:
     validate_positive(y, "y")
     if 0 in g.degrees:
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
-    src, dst = g.edge_arrays
-    return np.bincount(src, weights=node_powers(y, k)[dst], minlength=g.node_count)
+    bins, partners = _neighbor_layout(g)
+    return np.bincount(bins, weights=node_powers(y, k)[partners], minlength=g.node_count)
+
+
+def _neighbor_layout(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge (u, v) of `Graph.edge_arrays` both ways, as (bins,
+    partners): every v, then every u, so node partners[e] neighbors node
+    bins[e]. `np.bincount` adds a bin's terms in index order from 0.0, so
+    each node adds its neighbors in ascending order; that is how NumPy
+    implements it, not a documented guarantee, and the engine-versus-harness
+    tests and the goldens pin it. Built per call, and so writeable: take()
+    and bincount() copy a read-only index array on every call."""
+    u, v = g.edge_arrays
+    return np.concatenate((v, u)), np.concatenate((u, v))
 
 
 def exact_consensus_target(x0: Sequence[float], w: Sequence[float]) -> float:
@@ -208,24 +216,12 @@ def wac_run(
     `stop_reason` names the test that ended the run; the step test wins
     when both pass.
 
-    Each round gathers x at both ends of every edge u < v with one `take`,
-    laid out as every v, then every u, in the edge order of `Graph.edges()`,
-    so each half holds, position by position, the neighbors of the other.
-    One weighted `np.bincount` over that layout adds x_u - x_v into bin v,
-    then x_v - x_u into bin u, each the subtraction of the per-node form.
-    NumPy adds a bin's terms in index order from 0.0, so node i adds its
-    smaller-id neighbors, then its larger-id ones, both ascending: the
-    order of `wac_step_value`, whose iterates these equal bit for bit. That
-    order is how NumPy implements `bincount`, not a documented guarantee;
-    the engine-versus-harness tests and the goldens pin it.
-
     Stopping is decided once per block of up to `_BLOCK` rounds, never
     past `max_iterations`, with one 2-D reduction per test. The run ends at
     the block's first round that meets the rule and the rounds after it
     are discarded, so results equal a check after every round. `sink`, if
-    given, receives x(0) and then each block's kept rounds while the run
-    iterates; `record_trace` collects the same rows into `trace` instead,
-    and the two do not combine.
+    given, receives the rounds while the run iterates; `record_trace`
+    collects them into `trace` instead, and the two do not combine.
     """
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
@@ -268,17 +264,11 @@ def _iterate(
     cfg: ConsensusConfig,
     sink: RowSink | None,
 ) -> tuple[np.ndarray, int, str]:
-    """The rounds of `wac_run` from state x with per-node scale eps / w_i:
-    the final state, the number of rounds kept and the stop reason. Unless
-    `sink` is None it receives x, then each block's kept rounds once the
-    block's stop is decided, so a round discarded after the stop never
-    reaches it and the caller never holds more than one block."""
+    """The rounds of `wac_run` from state x with per-node scale eps / w_i,
+    handed to `sink` unless it is None: the final state, the number of
+    rounds kept and the stop reason."""
     n = g.node_count
-    # Built per call, and so writeable: take() and bincount() copy a
-    # read-only index array, such as the graph's shared ones, on every call.
-    src, dst = g.edge_arrays
-    lower = src < dst
-    ends = np.concatenate((dst[lower], src[lower]))
+    ends, _ = _neighbor_layout(g)
     m = len(ends) // 2
     gathered, terms, steps = np.empty(2 * m), np.empty(2 * m), np.empty((_BLOCK, n))
     x_v, x_u, to_v, to_u = gathered[:m], gathered[m:], terms[:m], terms[m:]
@@ -354,10 +344,10 @@ def min_consensus(
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("min_consensus states must be finite")
-    src, dst = g.edge_arrays
+    bins, partners = _neighbor_layout(g)
     for r in range(max_rounds + 1):
         new = x.copy()
-        np.minimum.at(new, src, x[dst])
+        np.minimum.at(new, bins, x[partners])
         if np.array_equal(new, x):
             return x.tolist(), r
         x = new

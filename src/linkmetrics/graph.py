@@ -58,18 +58,19 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once as (i, j) with i < j, in lexicographic order."""
-        src, dst = self.edge_arrays
-        return zip(src[src < dst].tolist(), dst[src < dst].tolist())
+        return zip(*(a.tolist() for a in self.edge_arrays))
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every edge, ordered by node, then by
-        neighbor id: node src[e] has neighbor dst[e]. Built on first use
-        and shared by every later caller, so both arrays are read-only."""
+        """Each undirected edge once as index arrays (i, j) with i[e] < j[e],
+        in the lexicographic order of `edges()`. Built on first use and
+        shared by every later caller, so both arrays are read-only."""
         src = np.repeat(np.arange(self.node_count), self.degrees)
         dst = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp, count=len(src))
-        src.flags.writeable = dst.flags.writeable = False
-        return src, dst
+        lower = src < dst
+        i, j = src[lower], dst[lower]
+        i.flags.writeable = j.flags.writeable = False
+        return i, j
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -183,9 +184,9 @@ def largest_connected_component(g: Graph) -> Graph:
     if g.connected:
         return g
     best = max(g.components, key=lambda c: (len(c), -min(g.original_ids[i] for i in c)))
-    src, dst = g.edge_arrays
-    keep = (src < dst) & np.isin(src, best)  # dst shares src's component
-    edges = np.searchsorted(best, np.column_stack((src[keep], dst[keep])))  # best is sorted
+    u, v = g.edge_arrays
+    keep = np.isin(u, best)  # v shares u's component
+    edges = np.searchsorted(best, np.column_stack((u[keep], v[keep])))  # best is sorted
     return from_edges(len(best), edges, original_ids=[g.original_ids[i] for i in best])
 
 

@@ -2,9 +2,9 @@
 
 Everything here walks the edge set directly; no consensus iterations are
 involved. Edge sums use compensated (fsum) accumulation so the reference
-stays trustworthy on large graphs. A sum that overflows the float range,
-or that takes a product which does, raises ValueError: the attributes are
-too large for a reference value.
+stays trustworthy on large graphs. Any finite real attribute is accepted;
+ValueError names a non-finite one's node, or says the attributes are too
+large for a reference value when a sum, or a product in it, overflows.
 """
 
 from __future__ import annotations
@@ -29,8 +29,15 @@ def _fsum(values) -> float:
     return total
 
 
+def _check_finite(y: Sequence[float]) -> None:
+    for i, v in enumerate(y):
+        if not math.isfinite(v):
+            raise ValueError(f"node {i}: attribute {float(v)!r} is not finite")
+
+
 def exact_total_variation(g: Graph, y: Sequence[float]) -> float:
     """Per-edge average of squared attribute differences."""
+    _check_finite(y)
     if g.edge_count < 1:
         raise ValueError("total variation needs at least one edge")
     return _fsum((y[i] - y[j]) ** 2 for i, j in g.edges()) / g.edge_count
@@ -41,10 +48,10 @@ def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> f
     edge's f(u, v) equals the `math.fsum` of its terms c * u**l * v**k
     bit for bit, from node powers taken once with `**` and terms
     multiplied left to right."""
+    _check_finite(y)
     if g.edge_count < 1:
         raise ValueError("polynomial metric needs at least one edge")
-    src, dst = g.edge_arrays
-    i, j = src[src < dst], dst[src < dst]
+    i, j = g.edge_arrays
 
     def edge_values():  # a generator, so that _fsum turns an overflowing ** into ValueError
         live = [v if d else 1.0 for v, d in zip(y, g.degrees)]  # no power of an isolated node
@@ -62,6 +69,7 @@ def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> f
 
 def exact_alphas(g: Graph, y: Sequence[float]) -> tuple[float, float, float]:
     """Closed-form stage targets (alpha1, alpha2, alpha3) of the TV pipeline."""
+    _check_finite(y)
     if any(d == 0 for d in g.degrees):
         raise ValueError("alphas undefined with isolated nodes")
     deg_sum = _fsum(g.degrees)

@@ -40,8 +40,7 @@ def normalized_weight_matrix(g: Graph, w: Sequence[float], epsilon: float) -> np
     inv = 1.0 / np.sqrt(np.asarray(w, dtype=float))
     m = np.zeros((g.node_count, g.node_count))
     np.fill_diagonal(m, 1.0 - epsilon * np.array(g.degrees) * inv * inv)
-    src, dst = g.edge_arrays
-    i, j = src[src < dst], dst[src < dst]
+    i, j = g.edge_arrays
     m[i, j] = m[j, i] = epsilon * inv[i] * inv[j]
     return m
 
@@ -54,8 +53,10 @@ def convergence_factor(eigenvalues: Sequence[float]) -> float:
 
 
 def spectral_report(g: Graph, w: Sequence[float], epsilon: float) -> SpectralReport:
-    """Eigenvalues of P, sorted descending, and rho. P is symmetric by
-    construction and goes to `eigvalsh` as built, without a copy."""
+    """Eigenvalues of P, sorted descending, and rho; epsilon may exceed the
+    stability bound. `eigvalsh` copies P, so the peak holds two N x N arrays."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     eigs = np.linalg.eigvalsh(normalized_weight_matrix(g, w, epsilon))[::-1].tolist()
     return SpectralReport(epsilon=epsilon, eigenvalues=eigs, rho=convergence_factor(eigs))
 

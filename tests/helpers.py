@@ -243,7 +243,10 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     delta = engine.max_step_size(w, g)
     eps = engine.resolve_epsilon(cfg, delta)
 
-    src, dst = (a.copy() for a in g.edge_arrays)
+    # Both orientations, ordered by node, then by neighbor id, built here
+    # from the adjacency rather than shared with the engine.
+    src = np.repeat(np.arange(g.node_count), g.degrees)
+    dst = np.array([j for nbrs in g.adjacency for j in nbrs], dtype=np.intp)
     x = np.array(x0, dtype=float)
     scale = eps / np.array(w, dtype=float)
     diff = np.empty(len(dst))
@@ -312,7 +315,8 @@ def write_trace_csv(path, trace) -> None:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian L = D - A as float64."""
     lap = np.diag(np.array(g.degrees, dtype=float))
-    lap[g.edge_arrays] = -1.0
+    i, j = g.edge_arrays
+    lap[i, j] = lap[j, i] = -1.0
     return lap
 
 

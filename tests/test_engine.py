@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linkmetrics import cli, engine, oracle, simharness
+from linkmetrics import cli, engine, oracle, simharness, spectral
 from linkmetrics.engine import (
     ConfigurationError,
     ConsensusConfig,
@@ -379,6 +379,16 @@ class TestEdgeArrayKernels:
     bit for bit."""
 
     @settings(max_examples=150, deadline=None)
+    @given(shuffled_graphs())
+    def test_neighbor_layout_lists_sorted_neighbors(self, g):
+        i, j = g.edge_arrays
+        lower = [(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
+        assert list(zip(i.tolist(), j.tolist())) == lower
+        bins, partners = engine._neighbor_layout(g)
+        for v, nbrs in enumerate(g.adjacency):
+            assert partners[bins == v].tolist() == sorted(nbrs)
+
+    @settings(max_examples=150, deadline=None)
     @given(shuffled_graphs(), st.integers(0, 3), st.data())
     def test_neighbor_weight_sums_match_reference(self, g, k, data):
         positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
@@ -714,13 +724,21 @@ class TestDistributedDelta1:
          ValueError, "epsilon must be finite"),
         (lambda: exact_consensus_target([1.0, 2.0, 3.0], [1.0, 1.0]),
          ConfigurationError, "x0 and w lengths differ"),
+        *[(lambda eps=eps: spectral.spectral_report(triangle(), [2.0] * 3, eps),
+           ValueError, "epsilon must be positive and finite")
+          for eps in (-1.0, 0.0, math.nan, math.inf)],
+        (lambda: min_consensus(path(5), [5.0, 4.0, 3.0, 2.0, 1.0], 1),
+         RuntimeError, "min_consensus did not stabilize within 1 rounds; "
+         "this should be impossible on a connected graph with max_rounds >= N - 1"),
     ],
     ids=[
         "step-bound-w-length", "wac-x0-length", "wac-w-length", "negative-k",
         "min-consensus-rounds", "oracle-no-edges", "oracle-isolated-node",
         "exponential-mean", "harness-rounds", "harness-inputs-length", "harness-epsilon",
         "harness-program-long", "harness-program-short", "harness-epsilon-nan",
-        "harness-epsilon-inf", "target-lengths",
+        "harness-epsilon-inf", "target-lengths", "spectral-epsilon-negative",
+        "spectral-epsilon-zero", "spectral-epsilon-nan", "spectral-epsilon-inf",
+        "min-consensus-round-limit",
     ],
 )
 def test_argument_errors(call, error, message):

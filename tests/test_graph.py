@@ -187,8 +187,8 @@ class TestLaplacian:
 
 class TestEdgeArrays:
     def test_path_orientations(self):
-        src, dst = path(3).edge_arrays
-        assert (src.tolist(), dst.tolist()) == ([0, 1, 1, 2], [1, 0, 2, 1])
+        i, j = path(3).edge_arrays
+        assert (i.tolist(), j.tolist()) == ([0, 1], [1, 2])
 
     def test_built_once_and_read_only(self):
         g = triangle()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,3 +363,33 @@ class TestShiftAttributes:
         tv = total_variation_pipeline(g, y).total_variation
         tv_shift = total_variation_pipeline(g, shifted).total_variation
         assert abs(tv - tv_shift) / max(ref, 1e-300) <= 1e-6
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e2, 1e4, 1e6])
+    def test_tv_invariant_up_to_cancellation_floor(self, c):
+        """TV(y + c) = TV(y) within the floor of 2*alpha1 - 2*alpha2*alpha3.
+
+        With M = max(y) + c and u = 2**-52: S(2,0) runs on states up to
+        M**2, S(1,1) and S(1,0) on states up to M, so |alpha1| <= M**2 and
+        |alpha2|, |alpha3| <= M. A stage's value is the mean of its final
+        states, which lies within their spread of their weighted average.
+        A stage that the spread test ends has spread at most the scaled
+        tolerance s(top) = max(1e-10 * min(1, top), 16 ulp(top)), the 16-ulp
+        floor once top passes about 5e4; one the step test ends reports its
+        own spread. The weighted average drifts from the exact target by at
+        most 2u * top per round: the rounding of each update and of its
+        neighbor sum. So stage r is off by e_r <= spread_r + 2 K_r u top_r
+        after K_r rounds, and TV by at most 2 e_1 + 2M (e_2 + e_3), plus
+        16u M**2 for rounding y_i + c (4u M**2 per squared difference), the
+        three means, the product and the difference.
+        """
+        g, y = er_instance(0)
+        shifted = total_variation_pipeline(g, shift_attributes(y, c))
+        top = max(y) + c
+        u = 2.0**-52
+        errors = [
+            max(max(1e-10 * min(1.0, t), 16 * math.ulp(t)), float(np.ptp(run.final_states)))
+            + 2 * run.iterations_used * u * t
+            for run, t in zip(shifted.runs, (top * top, top, top))
+        ]
+        bound = 2 * errors[0] + 2 * top * (errors[1] + errors[2]) + 16 * u * top * top
+        assert abs(shifted.total_variation - oracle.exact_total_variation(g, y)) <= bound

@@ -107,6 +107,28 @@ class TestOverflow:
             exact_polynomial_metric(triangle(), [1e200, 2.0, 3.0], spec)
 
 
+class TestNonFiniteAttribute:
+    """A non-finite attribute is named by its node, not reported as an
+    overflow; a finite one whose square overflows still is."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "reference",
+        [exact_total_variation, exact_alphas,
+         lambda g, y: exact_polynomial_metric(g, y, tv_metric_spec())],
+        ids=["total-variation", "alphas", "polynomial"],
+    )
+    def test_names_the_node(self, reference, bad):
+        with pytest.raises(ValueError) as info:
+            reference(triangle(), [1.0, bad, 3.0])
+        assert str(info.value) == f"node 1: attribute {bad!r} is not finite"
+
+    def test_square_overflow_keeps_its_message(self):
+        with pytest.raises(ValueError) as info:
+            exact_total_variation(path(2), [1.0, 1e200])
+        assert str(info.value) == "reference value overflows: attributes too large"
+
+
 def _outcome(f, *args):
     """The IEEE bits of what f(*args) returns, or the type and message of
     the ValueError it raises."""
