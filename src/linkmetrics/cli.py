@@ -14,7 +14,6 @@ import contextlib
 import itertools
 import json
 import math
-import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,23 +102,25 @@ def parse_attribute_file(text: str, g: Graph) -> list[float]:
 # trace CSVs
 
 
-def _trace_writer(f: IO[str], n: int) -> engine.RowSink:
-    """Write the trace CSV header to `f` and return a row sink that appends
-    one 'iteration,node_id,state' row per node for each round it is handed,
-    numbering rounds from 0, with the state as repr(); each round is one
-    %-substitution of a template.
+def _trace_writer(files: Sequence[IO[str]], n: int) -> engine.RowSink:
+    """Write the trace CSV header to each of `files` and return a row sink
+    that appends one 'iteration,node_id,state' row per node to each for
+    every round it is handed, numbering rounds from 0, with the state as
+    repr(); each round is one %-substitution of a template.
 
     Each block of rounds is a 2-D float64 array, turned into Python floats
     by one tolist(), since the repr of a NumPy 2 scalar is 'np.float64(...)'.
     """
-    f.write("iteration,node_id,state\n")
+    for f in files:
+        f.write("iteration,node_id,state\n")
     template = "".join(f"@,{node},%r\n" for node in range(n))
     iteration = itertools.count()
 
     def write(rows: np.ndarray) -> None:
         for states in rows.tolist():
-            row = template.replace("@", str(next(iteration)))
-            f.write(row % tuple(states))
+            text = template.replace("@", str(next(iteration))) % tuple(states)
+            for f in files:
+                f.write(text)
 
     return write
 
@@ -165,17 +166,16 @@ class ExperimentConfig:
             raise ValueError("metric must be 'tv' or 'poly'")
         if (self.metric == "poly") != (self.spec_path is not None):
             raise ValueError("--metric poly and --spec PATH go together")
-        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
-            raise ValueError("--epsilon must be positive and finite")
         if self.allow_unstable_epsilon and self.epsilon is None:
             # --eps-frac already lies in (0, 1), so nothing would read it.
             raise ValueError("--allow-unstable-epsilon applies to --epsilon only")
-        if self.shift is not None:
-            # The shift study compares the WAC1 bound Delta1 of total variation.
-            if self.metric != "tv":
-                raise ValueError("--shift applies to --metric tv only")
-            if not 0 < self.shift < math.inf:
-                raise ValueError("--shift must be positive and finite")
+        # The shift study compares the WAC1 bound Delta1 of total variation.
+        if self.shift is not None and self.metric != "tv":
+            raise ValueError("--shift applies to --metric tv only")
+        for flag, value in (("--epsilon", self.epsilon), ("--exp-mean", self.exp_mean),
+                            ("--shift", self.shift)):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{flag} must be positive and finite")
 
     def consensus(self) -> ConsensusConfig:
         """The consensus settings every stage of the run shares."""
@@ -195,49 +195,37 @@ def _run_metric(
 ) -> tuple[float, dict, list[tuple[str, ConsensusRun]]]:
     """Run total variation (spec None) or the polynomial metric `spec`.
 
-    Returns the metric value, its alphas and its (stage name, run) pairs.
-    With `out`, each distinct run streams its trace to
-    out/<name>_trace.csv while it iterates, under the first stage name
-    that lists it, and the file is copied to the run's other names once
-    the metric is done. The removal of every trace path, and of `out` if
-    this makes it, is registered on `undo` before anything is written.
+    Returns the metric value, its alphas and the (name, run) pair of each
+    named stage of `metrics.stage_plan(spec)`. With `out`, each distinct
+    run streams its trace while it iterates to out/<name>_trace.csv under
+    every name that lists it, formatting each round once. The removal of
+    every trace path, and of `out` if this makes it, is registered on
+    `undo` before anything is written.
     """
-    if spec is None:
-        # The runs of TVResult.runs; its S(0,0) is listed nowhere.
-        keys = [(2, 0), (1, 1), (1, 0)]
-        names = ["stage1", "stage2", "stage3"]
-    else:
-        keys = [lk for l, k, _ in spec.terms for lk in ((l, k), (k, 0))]
-        names = [f"term_{l}_{k}_stage{i}" for l, k, _ in spec.terms for i in (1, 2)]
-    paths = [out / f"{name}_trace.csv" for name in names] if out is not None else []
+    plan = metrics.stage_plan(spec)
+    named = [(name, lk) for name, lk in plan if name is not None]
     if out is not None and not out.is_dir():
         out.mkdir()
         undo.callback(out.rmdir)
-    first: dict[tuple[int, int], Path] = {}  # stage -> the trace CSV it streams to
-    for lk, path in zip(keys, paths):
-        undo.callback(path.unlink, missing_ok=True)
-        first.setdefault(lk, path)
     with contextlib.ExitStack() as files:
-        sinks = {}
-        for lk, path in first.items():
-            sinks[lk] = _trace_writer(files.enter_context(_trace_file(path)), g.node_count)
-        if spec is None:
-            r = metrics.total_variation_pipeline(g, y, ccfg, sinks)
-            value, runs = r.total_variation, r.runs
-            alphas = {"alpha1": r.alpha1, "alpha2": r.alpha2, "alpha3": r.alpha3}
-        else:
-            terms = metrics.polynomial_metric_terms(g, y, spec, ccfg, sinks)
-            value = metrics.polynomial_metric_value(terms)
-            runs = [run for t in terms for run in t.runs]
-            alphas = {
-                f"term_{t.l}_{t.k}":
-                    {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
-                for t in terms
-            }
-    for lk, path in zip(keys, paths):
-        if path != first[lk]:
-            shutil.copyfile(first[lk], path)
-    return value, alphas, list(zip(names, runs))
+        traces: dict[tuple[int, int], list[IO[str]]] = {}
+        for name, lk in named if out is not None else ():
+            path = out / f"{name}_trace.csv"
+            undo.callback(path.unlink, missing_ok=True)
+            traces.setdefault(lk, []).append(files.enter_context(_trace_file(path)))
+        sinks = {lk: _trace_writer(fs, g.node_count) for lk, fs in traces.items()}
+        terms = metrics.polynomial_metric_terms(g, y, spec or metrics.FOLDED_TV, ccfg, sinks)
+    # The plan lists each term's two stages in the order of the term's two runs.
+    runs = dict(zip((lk for _, lk in plan), (run for t in terms for run in t.runs)))
+    stages = [(name, runs[lk]) for name, lk in named]
+    if spec is None:  # alpha_i is the value of stage i
+        alphas = {f"alpha{i}": run.consensus_value for i, (_, run) in enumerate(stages, 1)}
+    else:
+        alphas = {
+            f"term_{t.l}_{t.k}": {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
+            for t in terms
+        }
+    return metrics.polynomial_metric_value(terms), alphas, stages
 
 
 def _metric_summary(value: float, alphas: dict, stages: list[tuple[str, ConsensusRun]]) -> dict:

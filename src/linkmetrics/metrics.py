@@ -116,7 +116,19 @@ def _finite(value: float, alphas: Sequence[float], name: str) -> float:
 
 
 # (u - v)**2 averaged over edges, with v**2 folded into u**2 by symmetry.
-_FOLDED_TV = MetricSpec(terms=((2, 0, 2.0), (1, 1, -2.0)))
+FOLDED_TV = MetricSpec(terms=((2, 0, 2.0), (1, 1, -2.0)))
+
+
+def stage_plan(spec: MetricSpec | None) -> list[tuple[str | None, tuple[int, int]]]:
+    """The stages of `spec`, or of total variation for None, in summary.json
+    order as (name, (l, k)) pairs. Term (l, k) lists S(l,k) as
+    term_l_k_stage1 and S(k,0) as term_l_k_stage2. Total variation is the
+    plan of FOLDED_TV named stage1, none for S(0,0), stage2 and stage3."""
+    if spec is None:
+        return [(name, lk) for name, (_, lk) in
+                zip(("stage1", None, "stage2", "stage3"), stage_plan(FOLDED_TV))]
+    return [(f"term_{l}_{k}_stage{i}", lk)
+            for l, k, _ in spec.terms for i, lk in ((1, (l, k)), (2, (k, 0)))]
 
 
 def total_variation_pipeline(
@@ -133,7 +145,7 @@ def total_variation_pipeline(
     sums as weights; stage 3 (WAC2) S(1,0), attributes with degree weights.
     `sinks` is read as in `polynomial_metric_terms`; S(0,0) need not be in it.
     """
-    squares, cross = terms = polynomial_metric_terms(g, y, _FOLDED_TV, cfg, sinks)
+    squares, cross = terms = polynomial_metric_terms(g, y, FOLDED_TV, cfg, sinks)
     runs = (squares.runs[0], *cross.runs)
     alphas = (squares.alpha_1lk, cross.alpha_1lk, cross.alpha_2lk)
     return TVResult(*alphas, polynomial_metric_value(terms), runs)
@@ -145,19 +157,18 @@ def polynomial_metric_terms(
 ) -> list[PolyTermResult]:
     """One result per term (l, k) of `spec`, from stages S(l,k) and S(k,0).
 
-    Each distinct stage runs once, in first-use order, and every term that
-    uses it gets the same ConsensusRun. The term value follows the
-    edge-averaged convention h_lk = alpha_1lk * alpha_2lk * c_lk, i.e. the
-    per-edge average with f symmetrized over the two edge endpoints.
+    Each distinct stage of `stage_plan(spec)` runs once, in the order it is
+    first listed, and every term that uses it gets the same ConsensusRun.
+    The term value follows the edge-averaged convention
+    h_lk = alpha_1lk * alpha_2lk * c_lk, i.e. the per-edge average with f
+    symmetrized over the two edge endpoints.
     `sinks`, if given, maps a distinct stage's (l, k) to its row sink.
     """
-    runs: dict[tuple[int, int], ConsensusRun] = {}
+    stages = [lk for _, lk in stage_plan(spec)]  # two per term
+    runs = {lk: _stage(g, y, *lk, cfg, sinks) for lk in dict.fromkeys(stages)}
     terms = []
-    for l, k, c in spec.terms:
-        for lk in ((l, k), (k, 0)):
-            if lk not in runs:
-                runs[lk] = _stage(g, y, *lk, cfg, sinks)
-        pair = (runs[l, k], runs[k, 0])
+    for (l, k, c), first, second in zip(spec.terms, stages[::2], stages[1::2]):
+        pair = (runs[first], runs[second])
         a1, a2 = alphas = [r.consensus_value for r in pair]
         h = _finite(a1 * a2 * c, alphas, f"term ({l},{k})")
         terms.append(PolyTermResult(l, k, c, a1, a2, h, pair))

@@ -309,7 +309,7 @@ def write_trace_csv(path, trace) -> None:
     """The trace CSV of a whole recorded trace: what cli._trace_writer
     writes when handed every round at once."""
     with cli._trace_file(path) as f:
-        cli._trace_writer(f, len(trace[0]))(np.array(trace, dtype=float))
+        cli._trace_writer([f], len(trace[0]))(np.array(trace, dtype=float))
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -214,19 +214,22 @@ class TestStreamedTraces:
         "extra, opened",
         [
             # y**400 overflows in S(400,0), after S(1,1) and S(1,0) have finished.
-            (["--metric", "poly", "--spec"], 4),
+            (["--metric", "poly", "--spec", "1 1 1\n400 0 1\n"], 4),
+            # Six trace files of four distinct runs, S(1,0) and S(0,0) each
+            # under two names, are open when S(400,0) overflows.
+            (["--metric", "poly", "--spec", "1 1 1\n1 0 1\n400 0 1\n"], 6),
             # The unstable step size fails S(2,0) once its trace file is open.
             (["--epsilon", "100"], 3),
         ],
-        ids=["finished", "partial"],
+        ids=["finished", "shared", "partial"],
     )
     def test_failed_metric_leaves_no_trace(self, extra, opened, tmp_path, monkeypatch):
         files = []
         real = cli._trace_file
         monkeypatch.setattr(cli, "_trace_file", lambda path: files.append(path) or real(path))
-        if extra[-1] == "--spec":
-            (tmp_path / "spec.txt").write_text("1 1 1\n400 0 1\n")
-            extra = extra + [str(tmp_path / "spec.txt")]
+        if "--spec" in extra:
+            (tmp_path / "spec.txt").write_text(extra[-1])
+            extra = extra[:-1] + [str(tmp_path / "spec.txt")]
         out = tmp_path / "out"
         assert main(ER_ARGS + extra + ["--out", str(out)]) == 1
         assert len(files) == opened
@@ -587,6 +590,9 @@ class TestRunExperiment:
             (TRIANGLE_ATTRS, ["--tol-step", "nan"], "tolerances must be positive and finite"),
             (TRIANGLE_ATTRS, ["--epsilon", "nan"], "--epsilon must be positive and finite"),
             (TRIANGLE_ATTRS, ["--epsilon", "-1"], "--epsilon must be positive and finite"),
+            # Caught before the missing edge list is read.
+            (None, ["--edges", "missing.txt", "--exp-mean", "-1", "--seed", "1"],
+             "--exp-mean must be positive and finite"),
         ],
     )
     def test_input_error_exits_1(self, attrs_text, extra, message, tmp_path, capsys):
@@ -621,6 +627,11 @@ class TestRunExperiment:
     def test_shift_must_be_positive_and_finite(self, shift):
         with pytest.raises(ValueError, match="--shift"):
             ExperimentConfig(edges_path="x", attrs_path="y", shift=shift).validate()
+
+    @pytest.mark.parametrize("mean", [0.0, -1.0, math.nan, math.inf])
+    def test_exp_mean_must_be_positive_and_finite(self, mean):
+        with pytest.raises(ValueError, match="--exp-mean must be positive and finite"):
+            ExperimentConfig(edges_path="x", exp_mean=mean, seed=1).validate()
 
     def test_poly_analyze_reports_every_stage(self, triangle_files, tmp_path):
         edges, attrs = triangle_files
@@ -675,7 +686,8 @@ class TestRunExperiment:
         calls = []
         real = cli._trace_writer
         monkeypatch.setattr(
-            cli, "_trace_writer", lambda f, n: calls.append(Path(f.name).name) or real(f, n)
+            cli, "_trace_writer",
+            lambda files, n: calls.append([Path(f.name).name for f in files]) or real(files, n),
         )
         edges, attrs = triangle_files
         spec = tmp_path / "spec.txt"
@@ -686,14 +698,16 @@ class TestRunExperiment:
             "--metric", "poly", "--spec", str(spec), "--out", str(out),
         ]) == 0
         assert calls == [
-            "term_1_1_stage1_trace.csv", "term_1_1_stage2_trace.csv",
-            "term_2_0_stage1_trace.csv", "term_2_0_stage2_trace.csv",
+            ["term_1_1_stage1_trace.csv"],
+            ["term_1_1_stage2_trace.csv", "term_1_0_stage1_trace.csv"],
+            ["term_2_0_stage1_trace.csv"],
+            ["term_2_0_stage2_trace.csv", "term_1_0_stage2_trace.csv"],
         ]
-        for copy, first in [
+        for shared, first in [
             ("term_1_0_stage1", "term_1_1_stage2"), ("term_1_0_stage2", "term_2_0_stage2"),
         ]:
-            copied = (out / f"{copy}_trace.csv").read_bytes()
-            assert copied == (out / f"{first}_trace.csv").read_bytes()
+            written = (out / f"{shared}_trace.csv").read_bytes()
+            assert written == (out / f"{first}_trace.csv").read_bytes()
 
     def test_traces_released_once_written(self, triangle_files, tmp_path, monkeypatch):
         # Traces stream to their CSVs while the runs iterate; no run keeps rows.

@@ -1,4 +1,7 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from linkmetrics.metrics import (
     polynomial_metric,
     polynomial_metric_terms,
     shift_attributes,
+    stage_plan,
     total_variation_pipeline,
     tv_metric_spec,
 )
@@ -258,6 +262,57 @@ class TestSharedStages:
             for a, b in zip(t.runs, r.runs):
                 assert a.iterations_used == b.iterations_used
                 assert a.final_states.tolist() == b.final_states.tolist()
+
+
+class TestStagePlan:
+    """`stage_plan` orders every metric's runs and names its outputs."""
+
+    def test_tv_plan_names_the_runs_of_tv_result(self, monkeypatch):
+        plan = stage_plan(None)
+        assert plan == [("stage1", (2, 0)), (None, (0, 0)), ("stage2", (1, 1)), ("stage3", (1, 0))]
+        made = []
+        real = engine.wac_run
+        monkeypatch.setattr(engine, "wac_run", lambda *a: made.append(real(*a)) or made[-1])
+        g, y = er_instance(3, n_lo=20, n_hi=40)
+        tv = total_variation_pipeline(g, y)
+        runs = dict(zip(dict.fromkeys(lk for _, lk in plan), made))
+        named = [runs[lk] for name, lk in plan if name is not None]
+        assert len(named) == len(tv.runs) == 3
+        assert all(a is b for a, b in zip(named, tv.runs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec_instances())
+    def test_plan_orders_runs_and_names_outputs(self, instance):
+        g, y, spec = instance
+        plan = stage_plan(spec)
+        names = [name for name, _ in plan]
+        assert len(set(names)) == len(names)
+        calls = []
+        real = engine.wac_run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "wac_run", lambda *a: calls.append(a[1:3]) or real(*a))
+            polynomial_metric_terms(g, y, spec, ConsensusConfig(max_iterations=2000))
+        order = list(dict.fromkeys(lk for _, lk in plan))
+        assert len(calls) == len(order)
+        for (x0, w), (l, k) in zip(calls, order):
+            assert x0.tolist() == engine.node_powers(y, l).tolist()
+            assert list(w) == list(engine.neighbor_weight_sums(g, y, k))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "edges.txt").write_text("".join(f"{i} {j}\n" for i, j in g.edges()))
+            (d / "attrs.txt").write_text("".join(f"{i} {v!r}\n" for i, v in enumerate(y)))
+            (d / "spec.txt").write_text("".join(f"{l} {k} {c!r}\n" for l, k, c in spec.terms))
+            out = d / "out"
+            assert cli.main([
+                "--edges", str(d / "edges.txt"), "--attrs", str(d / "attrs.txt"),
+                "--metric", "poly", "--spec", str(d / "spec.txt"),
+                "--max-iters", "2000", "--out", str(out),
+            ]) in (0, 2)
+            summary = json.loads((out / "summary.json").read_text())
+            assert [s["stage"] for s in summary["stages"]] == names
+            traces = sorted(p.name for p in out.glob("*_trace.csv"))
+            assert traces == sorted(f"{name}_trace.csv" for name in names)
 
 
 def _contract_instance(kind, seed):
