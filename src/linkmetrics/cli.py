@@ -192,15 +192,16 @@ class ExperimentConfig:
 def _run_metric(
     g: Graph, y: list[float], spec: metrics.MetricSpec | None, ccfg: ConsensusConfig,
     out: Path | None, undo: contextlib.ExitStack,
-) -> tuple[float, dict, list[tuple[str, ConsensusRun]]]:
+) -> tuple[dict, list[tuple[str, ConsensusRun]]]:
     """Run total variation (spec None) or the polynomial metric `spec`.
 
-    Returns the metric value, its alphas and the (name, run) pair of each
-    named stage of `metrics.stage_plan(spec)`. With `out`, each distinct
-    run streams its trace while it iterates to out/<name>_trace.csv under
-    every name that lists it, formatting each round once. The removal of
-    every trace path, and of `out` if this makes it, is registered on
-    `undo` before anything is written.
+    Returns the metric's summary.json entries (its stages, alphas and
+    value) and the (name, run) pair of each named stage of
+    `metrics.stage_plan(spec)`. With `out`, each distinct run streams its
+    trace while it iterates to out/<name>_trace.csv under every name that
+    lists it, formatting each round once. The removal of every trace path,
+    and of `out` if this makes it, is registered on `undo` before anything
+    is written.
     """
     plan = metrics.stage_plan(spec)
     named = [(name, lk) for name, lk in plan if name is not None]
@@ -225,11 +226,6 @@ def _run_metric(
             f"term_{t.l}_{t.k}": {"alpha1": t.alpha_1lk, "alpha2": t.alpha_2lk, "h": t.h_lk}
             for t in terms
         }
-    return metrics.polynomial_metric_value(terms), alphas, stages
-
-
-def _metric_summary(value: float, alphas: dict, stages: list[tuple[str, ConsensusRun]]) -> dict:
-    """summary.json entries of one metric: its stages, alphas and value."""
     return {
         "stages": [
             {
@@ -243,8 +239,8 @@ def _metric_summary(value: float, alphas: dict, stages: list[tuple[str, Consensu
             for name, run in stages
         ],
         "alphas": alphas,
-        "metric_value": value,
-    }
+        "metric_value": metrics.polynomial_metric_value(terms),
+    }, stages
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -272,10 +268,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as undo:
         traces = out if cfg.write_traces else None
-        value, alphas, stages = _run_metric(g, y, spec, ccfg, traces, undo)
+        block, stages = _run_metric(g, y, spec, ccfg, traces, undo)
         summary: dict = {
             "graph": {"n": g.node_count, "m": g.edge_count},
-            **_metric_summary(value, alphas, stages),
+            **block,
             "oracle": None,
             "spectral": None,
         }
@@ -285,12 +281,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             a1, a2, a3 = oracle.exact_alphas(g, y)
             summary["oracle"] = {
                 "metric_value": ref,
-                "delta": value - ref,
+                "delta": block["metric_value"] - ref,
                 "alphas": {"alpha1": a1, "alpha2": a2, "alpha3": a3},
             }
         elif cfg.with_oracle:
             ref = oracle.exact_polynomial_metric(g, y, spec)
-            summary["oracle"] = {"metric_value": ref, "delta": value - ref}
+            summary["oracle"] = {"metric_value": ref, "delta": block["metric_value"] - ref}
 
         if cfg.analyze:
             summary["spectral"] = {}
@@ -310,10 +306,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if cfg.shift is not None:
             shifted_y = metrics.shift_attributes(y, cfg.shift)
             s_traces = out / "shifted" if cfg.write_traces else None
-            s_value, s_alphas, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces, undo)
+            s_block, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces, undo)
             summary["shifted"] = {
                 "shift": cfg.shift,
-                **_metric_summary(s_value, s_alphas, s_stages),
+                **s_block,
                 # Stage 2 (WAC1) is the one whose bound Delta1 the shift enlarges.
                 "delta1_before": stages[1][1].max_step_bound,
                 "delta1_after": s_stages[1][1].max_step_bound,

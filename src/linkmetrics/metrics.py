@@ -133,7 +133,6 @@ def stage_plan(spec: MetricSpec | None) -> list[tuple[str | None, tuple[int, int
 
 def total_variation_pipeline(
     g: Graph, y: Sequence[float], cfg: ConsensusConfig | None = None,
-    sinks: Sinks | None = None,
 ) -> TVResult:
     """Total variation as the polynomial metric 2u**2 - 2uv.
 
@@ -143,9 +142,8 @@ def total_variation_pipeline(
     three other stages: stage 1 S(2,0), squared attributes with degree
     weights; stage 2 (WAC1) S(1,1), attributes with neighbor attribute
     sums as weights; stage 3 (WAC2) S(1,0), attributes with degree weights.
-    `sinks` is read as in `polynomial_metric_terms`; S(0,0) need not be in it.
     """
-    squares, cross = terms = polynomial_metric_terms(g, y, FOLDED_TV, cfg, sinks)
+    squares, cross = terms = polynomial_metric_terms(g, y, FOLDED_TV, cfg)
     runs = (squares.runs[0], *cross.runs)
     alphas = (squares.alpha_1lk, cross.alpha_1lk, cross.alpha_2lk)
     return TVResult(*alphas, polynomial_metric_value(terms), runs)

@@ -402,6 +402,24 @@ class TestRunExperiment:
             assert entry["lambda1"] == pytest.approx(1.0, abs=1e-9)
             assert 0.0 <= entry["rho"] < 1.0
 
+    def test_summary_key_order(self, triangle_files, tmp_path):
+        # The goldens leave out --analyze, whose eigenvalues vary with the LAPACK build.
+        edges, attrs = triangle_files
+        out = tmp_path / "out"
+        assert main([
+            "--edges", str(edges), "--attrs", str(attrs), "--analyze", "--oracle",
+            "--shift", "10", "--no-traces", "--out", str(out),
+        ]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == [
+            "graph", "stages", "alphas", "metric_value", "oracle", "spectral", "shifted",
+        ]
+        assert list(summary["shifted"]) == [
+            "shift", "stages", "alphas", "metric_value", "delta1_before", "delta1_after",
+        ]
+        # Only the main metric's stages are reported, not the shifted ones.
+        assert list(summary["spectral"]) == ["stage1", "stage2", "stage3"]
+
     def test_infinite_attribute_exits_1(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text(TRIANGLE_EDGES)
@@ -715,9 +733,9 @@ class TestRunExperiment:
         real_metric = cli._run_metric
 
         def run_metric(*args):
-            value, alphas, stages = real_metric(*args)
+            block, stages = real_metric(*args)
             runs.extend(run for _, run in stages)
-            return value, alphas, stages
+            return block, stages
 
         held, written = [], []
         real_report = cli.spectral.spectral_report

@@ -448,3 +448,16 @@ class TestShiftAttributes:
         ]
         bound = 2 * errors[0] + 2 * top * (errors[1] + errors[2]) + 16 * u * top * top
         assert abs(shifted.total_variation - oracle.exact_total_variation(g, y)) <= bound
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 5: the step rule ends S(1,1) above the spread tolerance",
+    )
+    def test_converged_stages_end_within_spread_tolerance(self):
+        # Every stage's max |x(0)| is at least 19.8 here, so the default
+        # spread tolerance 1e-10 applies unscaled.
+        g, y = er_instance(9, n_lo=20, n_hi=60)
+        shifted = total_variation_pipeline(g, shift_attributes(y, 1e-6))
+        for run in shifted.runs:
+            if run.converged:
+                assert run.final_states.max() - run.final_states.min() <= 1e-10
