@@ -90,11 +90,12 @@ def parse_attribute_file(text: str, g: Graph) -> list[float]:
             raise ValueError(f"attribute line {lineno}: duplicate value for node {label}")
         by_label[label] = value
 
-    try:
-        values = [by_label[label] for label in g.original_ids]
-    except KeyError as missing:
-        raise ValueError(f"no attribute value for node {missing.args[0]}") from None
-    engine.validate_positive(values, "attribute")
+    values = [by_label.get(label) for label in g.original_ids]
+    for label, value in zip(g.original_ids, values):
+        if value is None:
+            raise ValueError(f"no attribute value for node {label}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"node {label}: attribute {value} must be positive and finite")
     return values
 
 

@@ -165,6 +165,9 @@ def exact_consensus_target(x0: Sequence[float], w: Sequence[float]) -> float:
     if len(x0) != len(w):
         raise ConfigurationError("x0 and w lengths differ")
     validate_positive(w, "w")
+    bad = np.flatnonzero(~np.isfinite(np.asarray(x0, dtype=float)))
+    if len(bad):
+        raise ValueError(f"x0[{bad[0]}] = {x0[bad[0]]} must be finite")
     return math.fsum(wi * xi for wi, xi in zip(w, x0)) / math.fsum(w)
 
 
@@ -217,11 +220,11 @@ def wac_run(
     when both pass.
 
     Stopping is decided once per block of up to `_BLOCK` rounds, never
-    past `max_iterations`, with one 2-D reduction per test. The run ends at
-    the block's first round that meets the rule and the rounds after it
-    are discarded, so results equal a check after every round. `sink`, if
-    given, receives the rounds while the run iterates; `record_trace`
-    collects them into `trace` instead, and the two do not combine.
+    past `max_iterations`, by one mask over its rounds; a block holds its
+    start state as row 0, which no sink receives. The rounds after the
+    first that meets the rule are discarded, so results equal a check
+    after every round. `sink`, if given, receives the rounds while the run
+    iterates; `record_trace` collects them into `trace` instead, not both.
     """
     cfg = cfg or ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
@@ -270,7 +273,7 @@ def _iterate(
     n = g.node_count
     ends, _ = _neighbor_layout(g)
     m = len(ends) // 2
-    gathered, terms, steps = np.empty(2 * m), np.empty(2 * m), np.empty((_BLOCK, n))
+    gathered, terms = np.empty(2 * m), np.empty(2 * m)
     x_v, x_u, to_v, to_u = gathered[:m], gathered[m:], terms[:m], terms[m:]
     step_tolerance, spread_tolerance = cfg.step_tolerance, cfg.spread_tolerance
     top = float(np.abs(x).max())
@@ -289,10 +292,11 @@ def _iterate(
             stop_reason = "spread"
         while stop_reason is None and used < cfg.max_iterations:
             count = min(_BLOCK, cfg.max_iterations - used)
-            # A fresh block each time, so a sink can keep its rows.
-            rows = np.empty((count, n))
-            prev = x
-            for row in rows:
+            # A fresh block each time, so a sink can keep its rows. Row 0
+            # holds the state the block starts from; round k writes row k + 1.
+            block = np.empty((count + 1, n))
+            block[0] = x
+            for x, row in zip(block[:-1], block[1:]):
                 # Indices are in range by construction; mode="clip" only
                 # spares take() the buffered copy that mode="raise" makes.
                 x.take(ends, out=gathered, mode="clip")
@@ -301,29 +305,23 @@ def _iterate(
                 total = np.bincount(ends, weights=terms, minlength=n)
                 np.multiply(scale, total, out=total)
                 np.add(x, total, out=row)
-                x = row
 
-            step = steps[:count]
-            np.subtract(rows[0], prev, out=step[0])
-            np.subtract(rows[1:], rows[:-1], out=step[1:])
+            steps = block[1:] - block[:-1]
             # fmax skips nan steps, as the scalar `step > resid` test does.
-            resids = np.fmax.reduce(np.abs(step, out=step), axis=1, initial=0.0)
-            spreads = rows.max(axis=1) - rows.min(axis=1)
-            for k, (resid, spread) in enumerate(zip(resids.tolist(), spreads.tolist())):
-                if not math.isfinite(resid):
-                    stop_reason = "nonfinite"
-                elif resid <= step_tolerance:
-                    stop_reason = "step"
-                elif spread <= spread_tolerance:
-                    stop_reason = "spread"
-                else:
-                    continue
-                count = k + 1
-                break
+            resids = np.fmax.reduce(np.abs(steps, out=steps), axis=1, initial=0.0)
+            spreads = block[1:].max(axis=1) - block[1:].min(axis=1)
+            # A row per stop test, in priority order: argmax picks a round's reason.
+            tests = np.array(
+                [~np.isfinite(resids), resids <= step_tolerance, spreads <= spread_tolerance]
+            )
+            hits = np.flatnonzero(tests.any(axis=0))
+            if len(hits):
+                count = int(hits[0]) + 1
+                stop_reason = ("nonfinite", "step", "spread")[tests[:, count - 1].argmax()]
             used += count
             if sink is not None:
-                sink(rows[:count])
-            x = rows[count - 1]
+                sink(block[1:count + 1])
+            x = block[count]
     # A copy, so that the run keeps no view of the last block.
     return x.copy(), used, stop_reason or "cap"
 

@@ -236,7 +236,7 @@ def reference_min_consensus(g: Graph, x0, max_rounds: int) -> tuple[list[float],
 def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     """engine.wac_run with one gather per orientation and the stopping
     rule checked after every round. Returns the fields of ConsensusRun
-    that it computes; it does not record a stop reason."""
+    that it computes."""
     cfg = cfg or engine.ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
         raise engine.ConfigurationError("x0/w length must equal node count")
@@ -258,9 +258,11 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
         step_tolerance *= size
         spread_tolerance = max(spread_tolerance * size, 16 * math.ulp(top))
 
-    iterations = 0
+    iterations, stop_reason = 0, "cap"
     with np.errstate(over="ignore", invalid="ignore"):
         converged = float(x.max() - x.min()) <= spread_tolerance
+        if converged:
+            stop_reason = "spread"
         while not converged and iterations < cfg.max_iterations:
             x.take(dst, out=diff, mode="clip")
             diff -= x.take(src, mode="clip")
@@ -271,11 +273,12 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
             if trace is not None:
                 trace.append(x)
             if not math.isfinite(resid):
+                stop_reason = "nonfinite"
                 break
-            converged = (
-                resid <= step_tolerance
-                or float(x.max() - x.min()) <= spread_tolerance
-            )
+            if resid <= step_tolerance:
+                converged, stop_reason = True, "step"
+            elif float(x.max() - x.min()) <= spread_tolerance:
+                converged, stop_reason = True, "spread"
 
     final = x.tolist()
     value = math.nan
@@ -291,6 +294,7 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
         consensus_value=value,
         epsilon=eps,
         max_step_bound=delta,
+        stop_reason=stop_reason,
         trace=trace,
     )
 

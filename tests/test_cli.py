@@ -429,6 +429,17 @@ class TestRunExperiment:
         assert main(["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)]) == 1
         assert not (out / "summary.json").exists()
 
+    def test_rejected_attribute_names_file_label(self, tmp_path, capsys):
+        # Node 200 is graph index 1; the message names the label in the file.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("100 200\n200 300\n")
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("100 1.0\n200 -1\n300 2.0\n")
+        out = tmp_path / "o"
+        assert main(["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: node 200: attribute -1.0 must be positive and finite\n"
+
     @pytest.mark.parametrize("metric", [["--metric", "tv"], ["--metric", "poly"]])
     def test_overflowing_attribute_power_exits_1(self, tmp_path, capsys, metric):
         edges = tmp_path / "edges.txt"

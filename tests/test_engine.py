@@ -149,6 +149,12 @@ class TestExactConsensusTarget:
     def test_uniform_weights_arithmetic_mean(self):
         assert exact_consensus_target([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]) == 2.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        # The first non-finite state is named, not a later one.
+        with pytest.raises(ValueError, match=rf"^x0\[1\] = {bad} must be finite$"):
+            exact_consensus_target([1.0, bad, 2.0, math.nan], [1.0, 2.0, 1.0, 1.0])
+
 
 class TestWacRun:
     def test_triangle_equal_weights_reaches_mean(self):
@@ -480,6 +486,7 @@ def _raw_bits(values):
 def _assert_same_run(run, ref):
     assert run.iterations_used == ref.iterations_used
     assert run.converged == ref.converged
+    assert run.stop_reason == ref.stop_reason
     assert _raw_bits(run.final_states) == _raw_bits(ref.final_states)
     assert _raw_bits([run.consensus_value]) == _raw_bits([ref.consensus_value])
     if ref.trace is None:
