@@ -1,10 +1,10 @@
 """Lockstep message-passing replay of weighted-average consensus.
 
 Each node's state is a Python float and its program is its constant
-scale epsilon / w_i. Every round, each node reads only its inbox, the
-states its graph neighbors held after the last round, and steps by
-`engine.wac_step_value`, the per-node form of `engine.wac_run`'s round.
-The traces are bit-identical to the engine's: both sum neighbor
+scale epsilon / w_i. Every round, each node i reads the states its graph
+neighbors held after the last round, by id in ascending order, and
+steps by `engine.wac_step_value`, the per-node form of `engine.wac_run`'s
+round. The traces are bit-identical to the engine's: both sum neighbor
 differences in ascending neighbor-id order.
 """
 
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import engine
 from .graph import Graph
@@ -22,7 +21,8 @@ from .graph import Graph
 @dataclass
 class HarnessTrace:
     """Per-round snapshots (index 0 = initial states) and the (sender,
-    receiver) pairs of the adjacency the inboxes deliver along."""
+    receiver) pairs of the adjacency each node reads its neighbors'
+    states along: the edges a round may use, not a log of reads."""
 
     states: list[list[float]]
     rounds_executed: int
@@ -35,10 +35,8 @@ class HarnessTrace:
 def make_wac_program(w: Sequence[float], epsilon: float) -> tuple[float, ...]:
     """Each node's private constant epsilon / w_i, as Python floats."""
     engine.validate_positive(w, "w")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if epsilon == math.inf:
-        raise ValueError("epsilon must be finite")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     return tuple(float(epsilon) / float(wi) for wi in w)
 
 
@@ -53,23 +51,11 @@ def run_synchronous(
         raise ValueError("inputs length must equal node count")
     if len(program) != g.node_count:
         raise ValueError("program length must equal node count")
-    inboxes = [_inbox_getter(nbrs) for nbrs in g.adjacency]
     step = engine.wac_step_value
     x = [float(v) for v in inputs]
     snapshots = [x]
     for _ in range(max_rounds):
-        x = [step(x_i, inbox(x), s_i) for x_i, inbox, s_i in zip(x, inboxes, program)]
+        x = [step(x, i, nbrs, s_i) for i, (nbrs, s_i) in enumerate(zip(g.adjacency, program))]
         snapshots.append(x)
     pairs = {(j, i) for i, nbrs in enumerate(g.adjacency) for j in nbrs}
     return HarnessTrace(states=snapshots, rounds_executed=max_rounds, message_pairs=pairs)
-
-
-def _inbox_getter(nbrs: Sequence[int]) -> Callable[[list[float]], tuple[float, ...]]:
-    """The states of `nbrs` as a tuple; itemgetter of one index would
-    return the bare state, and of none cannot be built."""
-    if not nbrs:
-        return lambda x: ()
-    if len(nbrs) == 1:
-        (j,) = nbrs
-        return lambda x: (x[j],)
-    return itemgetter(*nbrs)

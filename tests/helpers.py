@@ -348,18 +348,20 @@ def reference_generate_synthetic(n: int, p: float, seed: int) -> Graph:
 
 
 def reference_run_synchronous(g: Graph, program, inputs, max_rounds: int) -> HarnessTrace:
-    """simharness.run_synchronous as a plain per-node WAC loop: each round
-    builds every inbox and logs every delivered (sender, receiver) pair."""
+    """simharness.run_synchronous as a plain per-node WAC loop with its own
+    update: each node adds states[j] - states[i] over its neighbors j from
+    0.0 and logs every (sender, receiver) pair it reads along."""
     states = [float(v) for v in inputs]
     snapshots = [states]
     pairs: set[tuple[int, int]] = set()
     for _ in range(max_rounds):
         new_states = []
         for i in range(g.node_count):
-            inbox = tuple(states[j] for j in g.adjacency[i])
+            acc = 0.0
             for j in g.adjacency[i]:
+                acc += states[j] - states[i]
                 pairs.add((j, i))
-            new_states.append(engine.wac_step_value(states[i], inbox, program[i]))
+            new_states.append(states[i] + program[i] * acc)
         states = new_states
         snapshots.append(states)
     return HarnessTrace(states=snapshots, rounds_executed=max_rounds, message_pairs=pairs)

@@ -718,7 +718,7 @@ class TestDistributedDelta1:
             triangle(), simharness.make_wac_program([2.0] * 3, 0.5), [1.0] * 2, 5),
          ValueError, "inputs length must equal node count"),
         (lambda: simharness.make_wac_program([2.0] * 3, 0.0),
-         ValueError, "epsilon must be positive"),
+         ValueError, "epsilon must be positive and finite"),
         (lambda: simharness.run_synchronous(
             path(3), simharness.make_wac_program([1.0] * 5, 0.5), [1.0] * 3, 5),
          ValueError, "program length must equal node count"),
@@ -726,9 +726,9 @@ class TestDistributedDelta1:
             path(3), simharness.make_wac_program([1.0] * 2, 0.5), [1.0] * 3, 5),
          ValueError, "program length must equal node count"),
         (lambda: simharness.make_wac_program([2.0] * 3, math.nan),
-         ValueError, "epsilon must be positive"),
+         ValueError, "epsilon must be positive and finite"),
         (lambda: simharness.make_wac_program([2.0] * 3, math.inf),
-         ValueError, "epsilon must be finite"),
+         ValueError, "epsilon must be positive and finite"),
         (lambda: exact_consensus_target([1.0, 2.0, 3.0], [1.0, 1.0]),
          ConfigurationError, "x0 and w lengths differ"),
         *[(lambda eps=eps: spectral.spectral_report(triangle(), [2.0] * 3, eps),

@@ -36,6 +36,26 @@ def engine_and_harness_traces(g, y, w, rounds):
     return trace.state_values()[: len(run.trace)], [r.tolist() for r in run.trace]
 
 
+def harness_round(g, y, w, eps):
+    return run_synchronous(g, make_wac_program(w, eps), y, max_rounds=1).states[1]
+
+
+def engine_round(g, y, w, eps):
+    cfg = ConsensusConfig(
+        epsilon=eps, max_iterations=1, record_trace=True,
+        step_tolerance=1e-300, spread_tolerance=1e-300,
+    )
+    return wac_run(g, y, w, cfg).trace[1].tolist()
+
+
+LOCALITY_INSTANCES = {
+    **{f"er{seed}": lambda seed=seed: er_instance(seed) for seed in range(3)},
+    "pa60": lambda: (
+        preferential_attachment(60, 2, 1), [1.0 + (7 * i % 11) / 3.0 for i in range(60)]
+    ),
+}
+
+
 @st.composite
 def connected_instances(draw):
     """A small connected graph with shuffled node labels, positive
@@ -162,6 +182,22 @@ class TestCrossValidation:
         w = [float(d) for d in g.degrees]
         trace = run_synchronous(g, make_wac_program(w, 0.9), y, max_rounds=30)
         assert trace.message_pairs <= directed_edge_pairs(g)
+
+    @pytest.mark.parametrize("one_round", [harness_round, engine_round], ids=["harness", "engine"])
+    @pytest.mark.parametrize("instance", list(LOCALITY_INSTANCES))
+    def test_node_reads_only_its_neighbors(self, one_round, instance):
+        # message_pairs is built from the adjacency, so it cannot show what
+        # a node reads; a bump at node k must move exactly k and N_k.
+        g, y = LOCALITY_INSTANCES[instance]()
+        w = neighbor_weight_sums(g, y, 1)
+        eps = 0.9 * max_step_size(w, g)
+        base = one_round(g, y, w, eps)
+        for k in range(g.node_count):
+            bumped = list(y)
+            bumped[k] += 1e3
+            after = one_round(g, bumped, w, eps)
+            moved = {i for i, (a, b) in enumerate(zip(base, after)) if a != b}
+            assert moved == {k, *g.adjacency[k]}
 
     def test_determinism(self):
         g, y = er_instance(2, n_lo=20, n_hi=40)
