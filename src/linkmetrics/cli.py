@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -134,8 +134,12 @@ def _trace_file(path: Path) -> IO[str]:
 # experiment configuration and run
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(ConsensusConfig):
+    """The consensus settings every stage of the run shares, plus the
+    run's inputs and outputs; traces stream to CSV, so none is recorded."""
+
+    record_trace: bool = field(default=False, init=False)
     edges_path: str | None = None
     er_n: int | None = None
     er_p: float | None = None
@@ -144,16 +148,10 @@ class ExperimentConfig:
     exp_mean: float | None = None
     metric: str = "tv"
     spec_path: str | None = None
-    eps_fraction: float = ConsensusConfig.epsilon_fraction
-    epsilon: float | None = None
     shift: float | None = None
     analyze: bool = False
     with_oracle: bool = False
     out_dir: str = "out"
-    allow_unstable_epsilon: bool = False
-    max_iterations: int = ConsensusConfig.max_iterations
-    step_tolerance: float = ConsensusConfig.step_tolerance
-    spread_tolerance: float = ConsensusConfig.spread_tolerance
     write_traces: bool = True
 
     def validate(self) -> None:
@@ -177,17 +175,6 @@ class ExperimentConfig:
                             ("--shift", self.shift)):
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{flag} must be positive and finite")
-
-    def consensus(self) -> ConsensusConfig:
-        """The consensus settings every stage of the run shares."""
-        return ConsensusConfig(
-            epsilon=self.epsilon,
-            epsilon_fraction=self.eps_fraction,
-            step_tolerance=self.step_tolerance,
-            spread_tolerance=self.spread_tolerance,
-            max_iterations=self.max_iterations,
-            allow_unstable_epsilon=self.allow_unstable_epsilon,
-        )
 
 
 def _run_metric(
@@ -246,7 +233,6 @@ def _run_metric(
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     cfg.validate()
-    ccfg = cfg.consensus()
     spec = None
     if cfg.metric == "poly":
         spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8-sig"))
@@ -269,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as undo:
         traces = out if cfg.write_traces else None
-        block, stages = _run_metric(g, y, spec, ccfg, traces, undo)
+        block, stages = _run_metric(g, y, spec, cfg, traces, undo)
         summary: dict = {
             "graph": {"n": g.node_count, "m": g.edge_count},
             **block,
@@ -307,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if cfg.shift is not None:
             shifted_y = metrics.shift_attributes(y, cfg.shift)
             s_traces = out / "shifted" if cfg.write_traces else None
-            s_block, s_stages = _run_metric(g, shifted_y, None, ccfg, s_traces, undo)
+            s_block, s_stages = _run_metric(g, shifted_y, None, cfg, s_traces, undo)
             summary["shifted"] = {
                 "shift": cfg.shift,
                 **s_block,
@@ -356,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec", dest="spec_path", metavar="PATH", help="polynomial spec file (l k c lines)"
     )
     step = parser.add_mutually_exclusive_group()  # --epsilon leaves --eps-frac unread
-    step.add_argument("--eps-frac", dest="eps_fraction", type=float, metavar="F")
+    step.add_argument("--eps-frac", dest="epsilon_fraction", type=float, metavar="F")
     step.add_argument("--epsilon", type=float, help="explicit step size for all stages")
     parser.add_argument(
         "--shift", type=float, metavar="C", help="also run with attributes + C (tv only)"

@@ -16,6 +16,7 @@ to an optional row sink, block by block, as they are decided.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,6 +57,10 @@ class ConsensusConfig:
         for tol in (self.step_tolerance, self.spread_tolerance):
             if not 0 < tol < math.inf:
                 raise ConfigurationError("tolerances must be positive and finite")
+        try:  # NumPy integers pass; a float cap would fail inside NumPy
+            operator.index(self.max_iterations)
+        except TypeError:
+            raise ConfigurationError("max_iterations must be an integer") from None
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
 

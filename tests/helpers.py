@@ -240,8 +240,11 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     cfg = cfg or engine.ConsensusConfig()
     if len(x0) != g.node_count or len(w) != g.node_count:
         raise engine.ConfigurationError("x0/w length must equal node count")
-    delta = engine.max_step_size(w, g)
-    eps = engine.resolve_epsilon(cfg, delta)
+    # The bound and the step size by their definitions, not the engine's code.
+    delta = min(float(wi) / d for wi, d in zip(w, g.degrees))
+    eps = cfg.epsilon_fraction * delta if cfg.epsilon is None else cfg.epsilon
+    if not (0 < eps < delta or cfg.allow_unstable_epsilon) or not 0 < eps < math.inf:
+        raise engine.ConfigurationError(f"epsilon {eps} outside stable range (0, {delta})")
 
     # Both orientations, ordered by node, then by neighbor id, built here
     # from the adjacency rather than shared with the engine.

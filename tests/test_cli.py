@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -774,7 +775,25 @@ class TestRunExperiment:
 
     def test_absent_flags_keep_config_defaults(self):
         args = build_parser().parse_args(["--edges", "e.txt", "--attrs", "a.txt"])
-        assert config_from_args(args) == ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")
+        cfg = config_from_args(args)
+        assert cfg == ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")
+        # Each consensus setting keeps the one default ConsensusConfig declares.
+        for f in dataclasses.fields(ConsensusConfig):
+            assert getattr(cfg, f.name) == f.default
+
+    def test_config_is_a_frozen_consensus_config(self):
+        cfg = ExperimentConfig(edges_path="e.txt", attrs_path="a.txt")
+        assert isinstance(cfg, ConsensusConfig)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_iterations = 5
+        # Traces stream to CSV, so recording them is no experiment setting.
+        with pytest.raises(TypeError):
+            ExperimentConfig(record_trace=True)
+        # The consensus settings are checked when the config is built.
+        with pytest.raises(engine.ConfigurationError, match="tolerances"):
+            ExperimentConfig(step_tolerance=math.nan)
+        with pytest.raises(engine.ConfigurationError, match="integer"):
+            ExperimentConfig(max_iterations=2.5)
 
     def test_flags_map_to_config_fields(self):
         args = build_parser().parse_args([
@@ -794,7 +813,7 @@ class TestRunExperiment:
             "--edges", "e.txt", "--attrs", "a.txt", "--eps-frac", "0.5",
         ])
         assert config_from_args(args) == ExperimentConfig(
-            edges_path="e.txt", attrs_path="a.txt", eps_fraction=0.5,
+            edges_path="e.txt", attrs_path="a.txt", epsilon_fraction=0.5,
         )
 
     def test_eps_frac_with_epsilon_rejected(self, tmp_path, capsys):

@@ -51,6 +51,19 @@ class TestConsensusConfig:
         with pytest.raises(ConfigurationError, match="finite"):
             ConsensusConfig(**{name: math.inf})
 
+    @pytest.mark.parametrize("cap, message", [
+        (2.5, "must be an integer"), ("7", "must be an integer"), (None, "must be an integer"),
+        (0, "must be >= 1"), (np.int64(0), "must be >= 1"),
+    ])
+    def test_bad_max_iterations_rejected(self, cap, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ConsensusConfig(max_iterations=cap)
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        run = wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3,
+                      ConsensusConfig(max_iterations=np.int64(3)))
+        assert run.iterations_used == 3 and not run.converged
+
 
 class TestMaxStepSize:
     def test_degree_weights_give_unit_bound(self):
