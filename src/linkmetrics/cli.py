@@ -146,30 +146,26 @@ class ExperimentConfig(ConsensusConfig):
     seed: int | None = None
     attrs_path: str | None = None
     exp_mean: float | None = None
-    metric: str = "tv"
-    spec_path: str | None = None
+    spec_path: str | None = None  # polynomial metric spec; None runs total variation
     shift: float | None = None
     analyze: bool = False
     with_oracle: bool = False
     out_dir: str = "out"
     write_traces: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        super().__post_init__()
         if (self.edges_path is None) == (self.er_n is None):
             raise ValueError("choose exactly one graph source (--edges or --er)")
         if (self.attrs_path is None) == (self.exp_mean is None):
             raise ValueError("choose exactly one attribute source (--attrs or --exp-mean)")
         if (self.er_n is not None or self.exp_mean is not None) != (self.seed is not None):
             raise ValueError("--seed is mandatory for synthetic sources and unused otherwise")
-        if self.metric not in ("tv", "poly"):
-            raise ValueError("metric must be 'tv' or 'poly'")
-        if (self.metric == "poly") != (self.spec_path is not None):
-            raise ValueError("--metric poly and --spec PATH go together")
         if self.allow_unstable_epsilon and self.epsilon is None:
             # --eps-frac already lies in (0, 1), so nothing would read it.
             raise ValueError("--allow-unstable-epsilon applies to --epsilon only")
         # The shift study compares the WAC1 bound Delta1 of total variation.
-        if self.shift is not None and self.metric != "tv":
+        if self.shift is not None and self.spec_path is not None:
             raise ValueError("--shift applies to --metric tv only")
         for flag, value in (("--epsilon", self.epsilon), ("--exp-mean", self.exp_mean),
                             ("--shift", self.shift)):
@@ -232,9 +228,8 @@ def _run_metric(
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     spec = None
-    if cfg.metric == "poly":
+    if cfg.spec_path is not None:
         spec = metrics.parse_metric_spec(Path(cfg.spec_path).read_text(encoding="utf-8-sig"))
         if not spec.terms:  # nothing would be computed
             raise ValueError("spec has no terms")
@@ -315,8 +310,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag's dest is an ExperimentConfig field (--er N P is split by
-    config_from_args); a flag left out leaves that field's default."""
+    """Each flag's dest is an ExperimentConfig field (--er N P is split and
+    --metric only checked by config_from_args); absent flags keep defaults."""
     parser = argparse.ArgumentParser(
         prog="linkmetrics",
         description="Compute link-based network metrics with consensus pipelines.",
@@ -363,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The flags' config; --metric is only checked against --spec, not stored."""
     fields = dict(vars(args))
+    if (fields.pop("metric", "tv") == "poly") != ("spec_path" in fields):
+        raise ValueError("--metric poly and --spec PATH go together")
     if "er" in fields:
         n, p = fields.pop("er")
         fields.update(er_n=int(n), er_p=float(p))

@@ -61,8 +61,8 @@ class SplitMix64:
 
     def exponential(self, mean: float) -> float:
         """Exponential draw via inverse transform; always > 0."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
+        if not 0 < mean < math.inf:  # NaN is not > 0
+            raise ValueError("mean must be " + ("finite" if mean > 0 else "positive"))
         # centering in the ulp keeps u strictly inside (0, 1)
         u = ((self.next_uint64() >> 11) + 0.5) * (1.0 / (1 << 53))
         return -mean * math.log(u)

@@ -601,7 +601,9 @@ class TestRunExperiment:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(
-        "argv", [["--attrs", "x"], ["--er", "5", "--exp-mean", "5"], ["--bogus"]]
+        "argv",
+        [["--attrs", "x"], ["--er", "5", "--exp-mean", "5"], ["--bogus"],
+         ["--edges", "e.txt", "--attrs", "a.txt", "--metric", "x"]],
     )
     def test_usage_error_exits_1(self, argv, capsys):
         # argparse exits 2, the code of a stage that failed to converge.
@@ -623,6 +625,10 @@ class TestRunExperiment:
             # Caught before the missing edge list is read.
             (None, ["--edges", "missing.txt", "--exp-mean", "-1", "--seed", "1"],
              "--exp-mean must be positive and finite"),
+            # Checked before the config is built, so before its other checks.
+            (None, ["--edges", "missing.txt", "--attrs", "missing.txt", "--metric", "poly",
+                    "--tol-step", "nan", "--shift", "-1"],
+             "--metric poly and --spec PATH go together"),
         ],
     )
     def test_input_error_exits_1(self, attrs_text, extra, message, tmp_path, capsys):
@@ -656,12 +662,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize("shift", [math.inf, math.nan, 0.0])
     def test_shift_must_be_positive_and_finite(self, shift):
         with pytest.raises(ValueError, match="--shift"):
-            ExperimentConfig(edges_path="x", attrs_path="y", shift=shift).validate()
+            ExperimentConfig(edges_path="x", attrs_path="y", shift=shift)
 
     @pytest.mark.parametrize("mean", [0.0, -1.0, math.nan, math.inf])
     def test_exp_mean_must_be_positive_and_finite(self, mean):
         with pytest.raises(ValueError, match="--exp-mean must be positive and finite"):
-            ExperimentConfig(edges_path="x", exp_mean=mean, seed=1).validate()
+            ExperimentConfig(edges_path="x", exp_mean=mean, seed=1)
 
     def test_poly_analyze_reports_every_stage(self, triangle_files, tmp_path):
         edges, attrs = triangle_files
@@ -796,25 +802,52 @@ class TestRunExperiment:
             ExperimentConfig(max_iterations=2.5)
 
     def test_flags_map_to_config_fields(self):
+        # --metric is checked against --spec and not stored.
         args = build_parser().parse_args([
             "--er", "30", "0.2", "--seed", "9", "--exp-mean", "5", "--metric", "poly",
-            "--spec", "s.txt", "--epsilon", "0.1", "--shift", "2",
+            "--spec", "s.txt", "--epsilon", "0.1",
             "--analyze", "--oracle", "--out", "d", "--allow-unstable-epsilon",
             "--max-iters", "7", "--tol-step", "1e-9", "--tol-spread", "1e-8", "--no-traces",
         ])
         assert config_from_args(args) == ExperimentConfig(
-            er_n=30, er_p=0.2, seed=9, exp_mean=5.0, metric="poly", spec_path="s.txt",
-            epsilon=0.1, shift=2.0, analyze=True, with_oracle=True,
+            er_n=30, er_p=0.2, seed=9, exp_mean=5.0, spec_path="s.txt",
+            epsilon=0.1, analyze=True, with_oracle=True,
             out_dir="d", allow_unstable_epsilon=True, max_iterations=7,
             step_tolerance=1e-9, spread_tolerance=1e-8, write_traces=False,
         )
-        # --eps-frac and --epsilon exclude each other, so it takes its own parse.
+        # --shift is total variation's and --eps-frac excludes --epsilon,
+        # so they take their own parse.
         args = build_parser().parse_args([
-            "--edges", "e.txt", "--attrs", "a.txt", "--eps-frac", "0.5",
+            "--edges", "e.txt", "--attrs", "a.txt", "--metric", "tv",
+            "--eps-frac", "0.5", "--shift", "2",
         ])
         assert config_from_args(args) == ExperimentConfig(
-            edges_path="e.txt", attrs_path="a.txt", epsilon_fraction=0.5,
+            edges_path="e.txt", attrs_path="a.txt", epsilon_fraction=0.5, shift=2.0,
         )
+
+    def test_spec_path_selects_the_metric(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig(edges_path="e.txt", attrs_path="a.txt", metric="poly")
+        poly = ExperimentConfig(edges_path="e.txt", attrs_path="a.txt", spec_path="s.txt")
+        with pytest.raises(ValueError, match="--shift applies to --metric tv only"):
+            dataclasses.replace(poly, shift=2.0)
+
+    def test_config_run_equals_cli_run(self, triangle_files, tmp_path):
+        edges, attrs = triangle_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SHARED_SPEC)
+        cli_out, cfg_out = tmp_path / "cli", tmp_path / "cfg"
+        assert main([
+            "--edges", str(edges), "--attrs", str(attrs), "--metric", "poly",
+            "--spec", str(spec), "--out", str(cli_out),
+        ]) == 0
+        assert cli.run_experiment(ExperimentConfig(
+            edges_path=str(edges), attrs_path=str(attrs), spec_path=str(spec),
+            out_dir=str(cfg_out),
+        )) == 0
+        summary = (cfg_out / "summary.json").read_bytes()
+        assert summary == (cli_out / "summary.json").read_bytes()
+        assert b"term_2_0_stage2" in summary
 
     def test_eps_frac_with_epsilon_rejected(self, tmp_path, capsys):
         # With --epsilon, nothing would read the fraction.
@@ -830,19 +863,18 @@ class TestRunExperiment:
     def test_conflicting_sources_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(edges_path="x", er_n=5, er_p=0.5, seed=1,
-                             exp_mean=5.0).validate()
+                             exp_mean=5.0)
 
     @pytest.mark.parametrize(
         "fields, message",
         [
             (dict(attrs_path="y", exp_mean=5.0, seed=1), "exactly one attribute source"),
-            (dict(attrs_path="y", metric="x"), "metric must be 'tv' or 'poly'"),
         ],
     )
     def test_validate_rejects(self, fields, message):
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(edges_path="x", **fields).validate()
+            ExperimentConfig(edges_path="x", **fields)
 
     def test_synthetic_without_seed_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(er_n=5, er_p=0.5, exp_mean=5.0).validate()
+            ExperimentConfig(er_n=5, er_p=0.5, exp_mean=5.0)

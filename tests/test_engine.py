@@ -724,6 +724,8 @@ class TestDistributedDelta1:
         (lambda: oracle.exact_alphas(Graph(((1,), (0,), ())), [1.0] * 3),
          ValueError, "alphas undefined with isolated nodes"),
         (lambda: SplitMix64(0).exponential(0.0), ValueError, "mean must be positive"),
+        (lambda: SplitMix64(0).exponential(math.nan), ValueError, "mean must be positive"),
+        (lambda: SplitMix64(0).exponential(math.inf), ValueError, "mean must be finite"),
         (lambda: simharness.run_synchronous(
             triangle(), simharness.make_wac_program([2.0] * 3, 0.5), [1.0] * 3, 0),
          ValueError, "max_rounds must be >= 1"),
@@ -754,11 +756,11 @@ class TestDistributedDelta1:
     ids=[
         "step-bound-w-length", "wac-x0-length", "wac-w-length", "negative-k",
         "min-consensus-rounds", "oracle-no-edges", "oracle-isolated-node",
-        "exponential-mean", "harness-rounds", "harness-inputs-length", "harness-epsilon",
-        "harness-program-long", "harness-program-short", "harness-epsilon-nan",
-        "harness-epsilon-inf", "target-lengths", "spectral-epsilon-negative",
-        "spectral-epsilon-zero", "spectral-epsilon-nan", "spectral-epsilon-inf",
-        "min-consensus-round-limit",
+        "exponential-mean", "exponential-mean-nan", "exponential-mean-inf", "harness-rounds",
+        "harness-inputs-length", "harness-epsilon", "harness-program-long",
+        "harness-program-short", "harness-epsilon-nan", "harness-epsilon-inf",
+        "target-lengths", "spectral-epsilon-negative", "spectral-epsilon-zero",
+        "spectral-epsilon-nan", "spectral-epsilon-inf", "min-consensus-round-limit",
     ],
 )
 def test_argument_errors(call, error, message):

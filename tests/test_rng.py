@@ -37,6 +37,15 @@ class TestSplitMix64:
         assert all(v > 0 for v in draws)
         assert abs(math.fsum(draws) / len(draws) - 5.0) <= 0.5
 
+    def test_exponential_draws_pinned(self):
+        # Inverse transform of the pinned stream; -log(u) scales with the mean.
+        rng = SplitMix64(0)
+        assert [rng.exponential(5.0) for _ in range(3)] == [
+            3.4378258349194484, 3.9502844322372814, 1.5450297065786336,
+        ]
+        assert SplitMix64(0).exponential(1e-300) == 6.875651669838897e-301
+        assert SplitMix64(0).exponential(1e300) == 6.875651669838897e+299
+
     def test_derive_seed_streams_differ(self):
         assert derive_seed(42, 0) != derive_seed(42, 1)
         assert derive_seed(42, 0) == derive_seed(42, 0)
