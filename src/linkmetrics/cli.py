@@ -67,8 +67,6 @@ def generate_synthetic(n: int, p: float, seed: int) -> Graph:
 
 def generate_attributes(g: Graph, mean: float, seed: int) -> list[float]:
     """I.i.d. exponential attributes from the pinned generator; all > 0."""
-    if not 0 < mean < math.inf:
-        raise ValueError("mean must be positive and finite")
     rng = SplitMix64(derive_seed(seed, _ATTR_STREAM))
     return [rng.exponential(mean) for _ in range(g.node_count)]
 
@@ -161,14 +159,10 @@ class ExperimentConfig(ConsensusConfig):
             raise ValueError("choose exactly one attribute source (--attrs or --exp-mean)")
         if (self.er_n is not None or self.exp_mean is not None) != (self.seed is not None):
             raise ValueError("--seed is mandatory for synthetic sources and unused otherwise")
-        if self.allow_unstable_epsilon and self.epsilon is None:
-            # --eps-frac already lies in (0, 1), so nothing would read it.
-            raise ValueError("--allow-unstable-epsilon applies to --epsilon only")
         # The shift study compares the WAC1 bound Delta1 of total variation.
         if self.shift is not None and self.spec_path is not None:
             raise ValueError("--shift applies to --metric tv only")
-        for flag, value in (("--epsilon", self.epsilon), ("--exp-mean", self.exp_mean),
-                            ("--shift", self.shift)):
+        for flag, value in (("--exp-mean", self.exp_mean), ("--shift", self.shift)):
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{flag} must be positive and finite")
 

@@ -38,9 +38,9 @@ class ConfigurationError(ValueError):
 class ConsensusConfig:
     """Step-size policy and stopping control for one consensus run.
 
-    If `epsilon` is set it is used directly (must lie in (0, Delta) with
-    Delta = min_i w_i/d_i, unless `allow_unstable_epsilon`); otherwise
-    `epsilon_fraction` of Delta is used.
+    If `epsilon` is set it is used directly (positive and finite, and below
+    Delta = min_i w_i/d_i unless `allow_unstable_epsilon`, which needs an
+    explicit `epsilon`); otherwise `epsilon_fraction` of Delta is used.
     """
 
     epsilon: float | None = None
@@ -63,6 +63,11 @@ class ConsensusConfig:
             raise ConfigurationError("max_iterations must be an integer") from None
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ConfigurationError("epsilon must be positive and finite")
+        if self.allow_unstable_epsilon and self.epsilon is None:
+            # A fraction of Delta lies in (0, Delta), so nothing would read the flag.
+            raise ConfigurationError("allow_unstable_epsilon needs an explicit epsilon")
 
 
 @dataclass(eq=False)
@@ -117,13 +122,13 @@ def max_step_size(w: Sequence[float], g: Graph) -> float:
     return min_consensus(g, ratios, max(1, g.node_count - 1))[0][0]
 
 
-def node_powers(y: Sequence[float], k: int) -> np.ndarray:
+def node_powers(y: Sequence[float], k: int, labels: Sequence[int] | None = None) -> np.ndarray:
     """y_i**k for every node i as a float64 array: the power a stage takes
     as input. Powers 0, 1 and 2 are ones, y and y * y (correctly rounded);
     others are libm's pow on Python floats, node by node (np.power differs).
 
-    A power that overflows or is not finite raises ValueError naming the
-    first such node and the exponent; one that underflows to 0.0 is kept.
+    A power that is not finite raises ValueError naming the first such
+    node, as labels[i] if given, and k; one that underflows to 0.0 is kept.
     """
     if k in (0, 1, 2):
         out = np.array(y, dtype=float)
@@ -139,7 +144,8 @@ def node_powers(y: Sequence[float], k: int) -> np.ndarray:
     ok = np.isfinite(out)
     if not ok.all():
         i = ok.argmin()  # the first node that fails
-        raise ValueError(f"node {i}: attribute {float(y[i])!r} to the power {k} is not finite")
+        node = i if labels is None else labels[i]
+        raise ValueError(f"node {node}: attribute {float(y[i])!r} to the power {k} is not finite")
     return out
 
 
@@ -151,7 +157,8 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> np.ndarray:
     if 0 in g.degrees:
         raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
     bins, partners = _neighbor_layout(g)
-    return np.bincount(bins, weights=node_powers(y, k)[partners], minlength=g.node_count)
+    powers = node_powers(y, k, g.original_ids)  # errors name nodes by label
+    return np.bincount(bins, weights=powers[partners], minlength=g.node_count)
 
 
 def _neighbor_layout(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -187,20 +194,6 @@ def wac_step_value(x: Sequence[float], i: int, nbrs: Sequence[int], scale: float
     return x_i + scale * acc
 
 
-def resolve_epsilon(cfg: ConsensusConfig, delta: float) -> float:
-    if cfg.epsilon is None:
-        return cfg.epsilon_fraction * delta
-    eps = cfg.epsilon
-    if not (0.0 < eps < delta) and not cfg.allow_unstable_epsilon:
-        raise ConfigurationError(
-            f"epsilon {eps} outside stable range (0, {delta}); "
-            "pass allow_unstable_epsilon to experiment beyond the bound"
-        )
-    if not 0 < eps < math.inf:
-        raise ConfigurationError("epsilon must be positive and finite")
-    return eps
-
-
 # Rounds per block: the stopping rule is checked once per block, for all of
 # its rounds at once.
 _BLOCK = 8
@@ -215,13 +208,14 @@ def wac_run(
 ) -> ConsensusRun:
     """Run the weighted-average-consensus iteration to the stopping rule.
 
-    The step bound Delta comes from `max_step_size` and the step size from
-    `resolve_epsilon`. Stops when the max per-node step drops below
-    `step_tolerance`, the state spread drops below `spread_tolerance`, or
-    `max_iterations` is hit (converged=False). Runs that blow up to
-    non-finite values abort early as unconverged, and a run whose
-    consensus value is not finite never counts as converged. Both
-    tolerances are multiplied by min(1, max_i |x_i(0)|) when that is
+    The step bound Delta comes from `max_step_size`, and the step size is
+    `epsilon_fraction` of Delta or the explicit `epsilon`, which must lie
+    below Delta unless `allow_unstable_epsilon` is set. Stops when the max
+    per-node step drops below `step_tolerance`, the state spread drops
+    below `spread_tolerance`, or `max_iterations` is hit (converged=False).
+    Runs that blow up to non-finite values abort early as unconverged, and
+    a run whose consensus value is not finite never counts as converged.
+    Both tolerances are multiplied by min(1, max_i |x_i(0)|) when that is
     finite, so states below 1 stop at the relative precision of states of
     size 1; the spread test passes at no less than 16 ulp of max_i |x_i(0)|.
     `stop_reason` names the test that ended the run; the step test wins
@@ -238,7 +232,12 @@ def wac_run(
     if len(x0) != g.node_count or len(w) != g.node_count:
         raise ConfigurationError("x0/w length must equal node count")
     delta = max_step_size(w, g)
-    eps = resolve_epsilon(cfg, delta)
+    eps = cfg.epsilon_fraction * delta if cfg.epsilon is None else cfg.epsilon
+    if not (cfg.epsilon is None or eps < delta or cfg.allow_unstable_epsilon):
+        raise ConfigurationError(
+            f"epsilon {eps} outside stable range (0, {delta}); "
+            "pass allow_unstable_epsilon to experiment beyond the bound"
+        )
 
     x = np.array(x0, dtype=float)
     weights = np.array(w, dtype=float)

@@ -101,7 +101,10 @@ def _stage(
 ) -> ConsensusRun:
     """Stage S(l, k): states y_i**l, weights the neighbor sums of y_j**k."""
     w = engine.neighbor_weight_sums(g, y, k)  # validates y
-    x0 = engine.node_powers(y, l)
+    if not w.all():  # every y_j > 0, so a zero weight sum underflowed
+        node = g.original_ids[w.argmin()]
+        raise ValueError(f"stage S({l},{k}): node {node}: weight underflows to 0.0")
+    x0 = engine.node_powers(y, l, g.original_ids)
     # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
     if not math.isfinite(max(g.degrees) * float(x0.max())):
         raise ValueError(f"stage S({l},{k}): largest degree times largest y**{l} overflows")

@@ -23,6 +23,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1F4EE2B9
 _MIX2 = 0x94D049BB133111EB
+_U_MAX = 1.0 - 2.0**-53  # the largest float below 1.0
 
 
 class SplitMix64:
@@ -63,8 +64,10 @@ class SplitMix64:
         """Exponential draw via inverse transform; always > 0."""
         if not 0 < mean < math.inf:  # NaN is not > 0
             raise ValueError("mean must be " + ("finite" if mean > 0 else "positive"))
-        # centering in the ulp keeps u strictly inside (0, 1)
-        u = ((self.next_uint64() >> 11) + 0.5) * (1.0 / (1 << 53))
+        if not -mean * math.log(_U_MAX) > 0:  # the smallest draw, at the largest u
+            raise ValueError(f"mean {mean!r} is so small that a draw rounds to 0.0")
+        # Centring in the ulp keeps u > 0; u = 1.0, as (2**53 - 1) + 0.5 rounds, takes _U_MAX.
+        u = min(((self.next_uint64() >> 11) + 0.5) * (1.0 / (1 << 53)), _U_MAX)
         return -mean * math.log(u)
 
 

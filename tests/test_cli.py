@@ -95,7 +95,9 @@ class TestGenerateAttributes:
     @pytest.mark.parametrize("mean", [math.inf, math.nan])
     def test_nonfinite_mean_rejected(self, mean):
         g = generate_synthetic(50, 0.1, 5)
-        with pytest.raises(ValueError, match="finite"):
+        # SplitMix64.exponential checks the mean, and NaN is not > 0.
+        message = "finite" if mean > 0 else "mean must be positive"
+        with pytest.raises(ValueError, match=message):
             generate_attributes(g, mean, 2)
 
 
@@ -457,6 +459,52 @@ class TestRunExperiment:
         assert "node 0" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("spec_text", [None, "0 2 1.0\n"], ids=["tv", "poly"])
+    def test_overflowing_attribute_power_names_file_label(self, tmp_path, capsys, spec_text):
+        # Node 200 is graph index 1: a stage input (total variation's S(2,0))
+        # or a weight (S(0,2)) names the label in the files.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("100 200\n200 300\n300 100\n")
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("100 1.0\n200 1e200\n300 2.0\n")
+        out = tmp_path / "o"
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)]
+        if spec_text is not None:
+            spec = tmp_path / "spec.txt"
+            spec.write_text(spec_text)
+            argv += ["--metric", "poly", "--spec", str(spec)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: node 200: attribute 1e+200 to the power 2 is not finite\n"
+        assert not (out / "summary.json").exists()
+
+    def test_underflowing_weight_names_stage_and_file_label(self, tmp_path, capsys):
+        # (1e-200)**2 underflows to 0, so every weight of S(1,2) is 0.0; the
+        # first node, graph index 0, is 100 in the files.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("100 200\n200 300\n300 100\n")
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("100 1e-200\n200 1e-200\n300 1e-200\n")
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 2 1\n")
+        out = tmp_path / "o"
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--metric", "poly",
+                "--spec", str(spec), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: stage S(1,2): node 100: weight underflows to 0.0\n"
+        assert not (out / "summary.json").exists()
+        # Total variation's weights are degrees and sums of y, none of which underflows.
+        assert main(argv[:4] + ["--no-traces", "--out", str(out)]) == 0
+
+    def test_mean_too_small_for_its_draws_exits_1(self, tmp_path, capsys):
+        # Some draws of mean 1e-322 would round to 0.0; the error is the mean's.
+        out = tmp_path / "o"
+        argv = ["--er", "60", "0.1", "--seed", "1", "--exp-mean", "1e-322", "--no-traces"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: mean 1e-322 is so small that a draw rounds to 0.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edges_text, attrs_text, extra",
         [
@@ -597,7 +645,7 @@ class TestRunExperiment:
             "--allow-unstable-epsilon", "--out", str(out),
         ])
         assert code == 1
-        assert "--allow-unstable-epsilon" in capsys.readouterr().err
+        assert "allow_unstable_epsilon needs an explicit epsilon" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(
@@ -620,8 +668,8 @@ class TestRunExperiment:
             (TRIANGLE_ATTRS, ["--max-iters", "0"], "max_iterations must be >= 1"),
             (None, ["--er", "1", "0.5", "--seed", "1", "--exp-mean", "5"], "n must be >= 2"),
             (TRIANGLE_ATTRS, ["--tol-step", "nan"], "tolerances must be positive and finite"),
-            (TRIANGLE_ATTRS, ["--epsilon", "nan"], "--epsilon must be positive and finite"),
-            (TRIANGLE_ATTRS, ["--epsilon", "-1"], "--epsilon must be positive and finite"),
+            (TRIANGLE_ATTRS, ["--epsilon", "nan"], "error: epsilon must be positive and finite"),
+            (TRIANGLE_ATTRS, ["--epsilon", "-1"], "error: epsilon must be positive and finite"),
             # Caught before the missing edge list is read.
             (None, ["--edges", "missing.txt", "--exp-mean", "-1", "--seed", "1"],
              "--exp-mean must be positive and finite"),

@@ -59,6 +59,22 @@ class TestConsensusConfig:
         with pytest.raises(ConfigurationError, match=message):
             ConsensusConfig(max_iterations=cap)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("unstable", [False, True])
+    def test_bad_epsilon_rejected(self, epsilon, unstable):
+        with pytest.raises(ConfigurationError, match="^epsilon must be positive and finite$"):
+            ConsensusConfig(epsilon=epsilon, allow_unstable_epsilon=unstable)
+        with pytest.raises(ConfigurationError, match="^epsilon must be positive and finite$"):
+            cli.ExperimentConfig(edges_path="e", attrs_path="a", epsilon=epsilon)
+
+    def test_unstable_epsilon_needs_explicit_epsilon(self):
+        message = "^allow_unstable_epsilon needs an explicit epsilon$"
+        with pytest.raises(ConfigurationError, match=message):
+            ConsensusConfig(allow_unstable_epsilon=True)
+        with pytest.raises(ConfigurationError, match=message):
+            cli.ExperimentConfig(edges_path="e", attrs_path="a", allow_unstable_epsilon=True)
+        assert ConsensusConfig(epsilon=5.0, allow_unstable_epsilon=True).epsilon == 5.0
+
     def test_numpy_integer_max_iterations_accepted(self):
         run = wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3,
                       ConsensusConfig(max_iterations=np.int64(3)))
@@ -261,9 +277,9 @@ class TestWacRun:
 
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
     def test_nonfinite_epsilon_rejected(self, epsilon):
-        cfg = ConsensusConfig(epsilon=epsilon, allow_unstable_epsilon=True)
-        with pytest.raises(ConfigurationError):
-            wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3, cfg)
+        # The config itself rejects it, so no run can start with it.
+        with pytest.raises(ConfigurationError, match="epsilon must be positive and finite"):
+            ConsensusConfig(epsilon=epsilon, allow_unstable_epsilon=True)
 
     def test_run_records_its_weights(self):
         w = [5.0, 4.0, 3.0]
@@ -530,7 +546,8 @@ class TestBlockedRounds:
         epsilon = None if fraction is None else fraction * max_step_size(w, g)
         settings_ = dict(
             epsilon=epsilon,
-            allow_unstable_epsilon=True,
+            # The fraction policy never reads the flag, so it needs an explicit step.
+            allow_unstable_epsilon=epsilon is not None,
             step_tolerance=data.draw(_TOLERANCES),
             spread_tolerance=data.draw(_TOLERANCES),
             record_trace=data.draw(st.booleans()),

@@ -374,6 +374,16 @@ class TestOverflowingStages:
         with pytest.raises(ValueError, match=r"term \(1,1\) overflows"):
             one_term(triangle(), [1e200, 2e200, 3e200], 1, 1, 1.0)
 
+    def test_underflowing_weight_names_stage_and_node(self):
+        # (1e-200)**2 underflows to 0, so every weight of S(1,2) is 0.0. A
+        # graph built in memory is labelled by its indices.
+        spec = MetricSpec(terms=((1, 2, 1.0),))
+        with pytest.raises(ValueError, match=r"^stage S\(1,2\): node 0: weight underflows to 0\.0$"):
+            polynomial_metric(triangle(), [1e-200] * 3, spec)
+        # On the path 0-1-2 only the middle node's neighbors are all tiny.
+        with pytest.raises(ValueError, match=r"node 1: weight underflows"):
+            polynomial_metric(path(3), [1e-200, 1.0, 1e-200], spec)
+
     def test_overflowing_term_sum_rejected(self):
         spec = MetricSpec(terms=((0, 0, 1.7e308), (1, 0, 1e308)))
         with pytest.raises(ValueError, match="polynomial metric overflows"):

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics.rng import SplitMix64, derive_seed
+from linkmetrics.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, derive_seed
 
 MASK = (1 << 64) - 1
 # Seeds near 0 and near 2**64, where the state advance wraps.
@@ -46,9 +47,41 @@ class TestSplitMix64:
         assert SplitMix64(0).exponential(1e-300) == 6.875651669838897e-301
         assert SplitMix64(0).exponential(1e300) == 6.875651669838897e+299
 
+    def test_top_draw_is_positive(self):
+        # The output's top 53 bits are all ones: (2**53 - 1) + 0.5 rounds to
+        # 2**53, which made u = 1.0 and the draw -0.0. It takes the largest
+        # u below 1.0 instead, so the draw is mean * 2**-53.
+        seed = _seed_with_first_output(0xFFFFFFFFFFFFF800)
+        assert seed == 0x5EDF305358952A0A
+        assert SplitMix64(seed).exponential(5.0) == 5.0 * 2.0**-53 > 0
+        # The next top bits down keep the inverse transform of the centred u.
+        below = SplitMix64(_seed_with_first_output(0xFFFFFFFFFFFFF000)).exponential(5.0)
+        assert below == -5.0 * math.log(1.0 - 2.0**-52) > 5.0 * 2.0**-53
+
+    def test_mean_whose_smallest_draw_rounds_to_zero_rejected(self):
+        # The smallest draw is mean * 2**-53, which rounds to 0.0 at the
+        # smallest normal float and below it, and to 5e-324 just above it.
+        top = _seed_with_first_output(0xFFFFFFFFFFFFF800)
+        for mean in (sys.float_info.min, 1e-322, 5e-324):
+            with pytest.raises(ValueError, match=f"^mean {mean!r} is so small that a draw rounds to 0.0$"):
+                SplitMix64(top).exponential(mean)
+        assert SplitMix64(top).exponential(math.nextafter(sys.float_info.min, 1.0)) == 5e-324
+        rng = SplitMix64(3)
+        assert all(rng.exponential(math.nextafter(sys.float_info.min, 1.0)) > 0 for _ in range(1000))
+
     def test_derive_seed_streams_differ(self):
         assert derive_seed(42, 0) != derive_seed(42, 1)
         assert derive_seed(42, 0) == derive_seed(42, 0)
+
+
+def _seed_with_first_output(z: int) -> int:
+    """The seed whose first next_uint64() returns z: the output mix undone."""
+    for shift, mix in ((31, _MIX2), (27, _MIX1), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):  # x ^ (x >> shift) = z, solved top down
+            x = z ^ (x >> shift)
+        z = x if mix is None else x * pow(mix, -1, 1 << 64) & MASK
+    return (z - _GAMMA) & MASK
 
 
 class TestUint64Block:
