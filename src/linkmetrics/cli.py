@@ -4,7 +4,8 @@ and attach a spectral report, and write traces plus a summary JSON.
 
 Exit codes: 0 = all stages converged, 2 = at least one stage failed to
 converge, 1 = input/configuration error; configuration errors exit before
-any input is read, and a failure once --out exists removes what it wrote.
+any input is read. A failure removes every file and directory the run
+made, and an --out that existed keeps its other contents.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import engine, graph as graphmod, metrics, oracle, spectral
 from .engine import ConsensusConfig, ConsensusRun
 from .graph import Graph
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, check_mean, derive_seed
 
 _GRAPH_STREAM = 0
 _ATTR_STREAM = 1
@@ -124,7 +125,14 @@ def _trace_writer(files: Sequence[IO[str]], n: int) -> engine.RowSink:
     return write
 
 
-def _trace_file(path: Path) -> IO[str]:
+def _output(path: Path, undo: contextlib.ExitStack) -> IO[str]:
+    """Open `path` to write UTF-8 with '\n' line ends, making each missing directory
+    above it; `undo` gets the removal of the file and of each directory made."""
+    for parent in reversed(path.parents):
+        if not parent.is_dir():
+            parent.mkdir()
+            undo.callback(parent.rmdir)
+    undo.callback(path.unlink, missing_ok=True)
     return path.open("w", encoding="utf-8", newline="\n")
 
 
@@ -162,9 +170,10 @@ class ExperimentConfig(ConsensusConfig):
         # The shift study compares the WAC1 bound Delta1 of total variation.
         if self.shift is not None and self.spec_path is not None:
             raise ValueError("--shift applies to --metric tv only")
-        for flag, value in (("--exp-mean", self.exp_mean), ("--shift", self.shift)):
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{flag} must be positive and finite")
+        if self.exp_mean is not None:
+            check_mean(self.exp_mean, "--exp-mean")
+        if self.shift is not None and not 0 < self.shift < math.inf:
+            raise ValueError("--shift must be positive and finite")
 
 
 def _run_metric(
@@ -177,21 +186,16 @@ def _run_metric(
     value) and the (name, run) pair of each named stage of
     `metrics.stage_plan(spec)`. With `out`, each distinct run streams its
     trace while it iterates to out/<name>_trace.csv under every name that
-    lists it, formatting each round once. The removal of every trace path,
-    and of `out` if this makes it, is registered on `undo` before anything
-    is written.
+    lists it, formatting each round once; each CSV is opened by `_output`
+    on `undo`.
     """
     plan = metrics.stage_plan(spec)
     named = [(name, lk) for name, lk in plan if name is not None]
-    if out is not None and not out.is_dir():
-        out.mkdir()
-        undo.callback(out.rmdir)
     with contextlib.ExitStack() as files:
         traces: dict[tuple[int, int], list[IO[str]]] = {}
         for name, lk in named if out is not None else ():
-            path = out / f"{name}_trace.csv"
-            undo.callback(path.unlink, missing_ok=True)
-            traces.setdefault(lk, []).append(files.enter_context(_trace_file(path)))
+            f = files.enter_context(_output(out / f"{name}_trace.csv", undo))
+            traces.setdefault(lk, []).append(f)
         sinks = {lk: _trace_writer(fs, g.node_count) for lk, fs in traces.items()}
         terms = metrics.polynomial_metric_terms(g, y, spec or metrics.FOLDED_TV, ccfg, sinks)
     # The plan lists each term's two stages in the order of the term's two runs.
@@ -241,7 +245,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         y = generate_attributes(g, cfg.exp_mean, cfg.seed)
 
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as undo:
         traces = out if cfg.write_traces else None
         block, stages = _run_metric(g, y, spec, cfg, traces, undo)
@@ -292,9 +295,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             }
             stages += s_stages
 
-        summary_path = out / "summary.json"
-        undo.callback(summary_path.unlink, missing_ok=True)
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        with _output(out / "summary.json", undo) as f:
+            f.write(json.dumps(summary, indent=2) + "\n")
         undo.pop_all()
     return 0 if all(run.converged for _, run in stages) else 2
 

@@ -5,12 +5,12 @@ The weighted-average update is
 with all updates reading round-k values (Jacobi contract). Neighbor
 accumulation runs in ascending neighbor-id order: every neighbor pass is
 one `np.bincount` over the layout `_neighbor_layout` builds. `wac_run`
-applies the update to all nodes at once, and `wac_step_value` is the
-per-node form the simulation harness runs: node i reads its neighbors'
-round-k states by id, in ascending order. The two give bit-identical
-traces. `wac_run` decides stopping once per block of rounds, discards
-the rounds a block computed past the stop and hands the rounds it keeps
-to an optional row sink, block by block, as they are decided.
+applies the update to all nodes at once, and `simharness.run_synchronous`
+node by node, each node reading its neighbors' round-k states by id in
+ascending order. The two give bit-identical traces. `wac_run` decides
+stopping once per block of rounds, discards the rounds a block computed
+past the stop and hands the rounds it keeps to an optional row sink,
+block by block, as they are decided.
 """
 
 from __future__ import annotations
@@ -182,16 +182,6 @@ def exact_consensus_target(x0: Sequence[float], w: Sequence[float]) -> float:
     if len(bad):
         raise ValueError(f"x0[{bad[0]}] = {x0[bad[0]]} must be finite")
     return math.fsum(wi * xi for wi, xi in zip(w, x0)) / math.fsum(w)
-
-
-def wac_step_value(x: Sequence[float], i: int, nbrs: Sequence[int], scale: float) -> float:
-    """Node i's next state from the round's states `x`, read only at i and
-    at its neighbors `nbrs` in ascending id order; `scale` = eps / w_i."""
-    x_i = x[i]
-    acc = 0.0
-    for j in nbrs:
-        acc += x[j] - x_i
-    return x_i + scale * acc
 
 
 # Rounds per block: the stopping rule is checked once per block, for all of

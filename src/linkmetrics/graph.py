@@ -78,11 +78,6 @@ class Graph:
         dist = [-1] * self.node_count
         return tuple(tuple(sorted(_bfs(self, s, dist))) for s in range(len(dist)) if dist[s] < 0)
 
-    @property
-    def connected(self) -> bool:
-        """Whether every node reaches every other."""
-        return len(self.components) == 1
-
 
 def from_edges(n: int, edges, original_ids=None) -> Graph:
     """Build a Graph from undirected (u, v) pairs or an (m, 2) array, deduplicated.
@@ -171,7 +166,8 @@ def _bfs(g: Graph, start: int, dist: list[int]) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.connected
+    """Whether every node reaches every other."""
+    return len(g.components) == 1
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -181,9 +177,9 @@ def largest_connected_component(g: Graph) -> Graph:
     Ties broken towards the component containing the smallest original id;
     relative node order is preserved.
     """
-    if g.connected:
-        return g
     best = max(g.components, key=lambda c: (len(c), -min(g.original_ids[i] for i in c)))
+    if len(best) == g.node_count:
+        return g
     u, v = g.edge_arrays
     keep = np.isin(u, best)  # v shares u's component
     edges = np.searchsorted(best, np.column_stack((u[keep], v[keep])))  # best is sorted
@@ -192,7 +188,7 @@ def largest_connected_component(g: Graph) -> Graph:
 
 def diameter(g: Graph) -> int:
     """Max shortest-path length over all node pairs (BFS from every node)."""
-    if not g.connected:
+    if not is_connected(g):
         raise DisconnectedGraphError("diameter requires a connected graph")
     ecc = 0
     for s in range(g.node_count):

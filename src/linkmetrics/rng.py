@@ -26,6 +26,14 @@ _MIX2 = 0x94D049BB133111EB
 _U_MAX = 1.0 - 2.0**-53  # the largest float below 1.0
 
 
+def check_mean(mean: float, name: str = "mean") -> None:
+    """Raise ValueError, naming `name`, unless every exponential draw of `mean` is > 0."""
+    if not 0 < mean < math.inf:  # NaN is not > 0
+        raise ValueError(f"{name} must be positive and finite")
+    if not -mean * math.log(_U_MAX) > 0:  # the smallest draw, at the largest u
+        raise ValueError(f"{name} {mean!r} is so small that a draw rounds to 0.0")
+
+
 class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
@@ -62,10 +70,7 @@ class SplitMix64:
 
     def exponential(self, mean: float) -> float:
         """Exponential draw via inverse transform; always > 0."""
-        if not 0 < mean < math.inf:  # NaN is not > 0
-            raise ValueError("mean must be " + ("finite" if mean > 0 else "positive"))
-        if not -mean * math.log(_U_MAX) > 0:  # the smallest draw, at the largest u
-            raise ValueError(f"mean {mean!r} is so small that a draw rounds to 0.0")
+        check_mean(mean)
         # Centring in the ulp keeps u > 0; u = 1.0, as (2**53 - 1) + 0.5 rounds, takes _U_MAX.
         u = min(((self.next_uint64() >> 11) + 0.5) * (1.0 / (1 << 53)), _U_MAX)
         return -mean * math.log(u)

@@ -2,10 +2,10 @@
 
 Each node's state is a Python float and its program is its constant
 scale epsilon / w_i. Every round, each node i reads the states its graph
-neighbors held after the last round, by id in ascending order, and
-steps by `engine.wac_step_value`, the per-node form of `engine.wac_run`'s
-round. The traces are bit-identical to the engine's: both sum neighbor
-differences in ascending neighbor-id order.
+neighbors held after the last round, by id in ascending order, and steps
+by x_i + scale_i * sum_j (x_j - x_i), the per-node form of
+`engine.wac_run`'s round. The traces are bit-identical to the engine's:
+both sum neighbor differences in ascending neighbor-id order.
 """
 
 from __future__ import annotations
@@ -51,11 +51,17 @@ def run_synchronous(
         raise ValueError("inputs length must equal node count")
     if len(program) != g.node_count:
         raise ValueError("program length must equal node count")
-    step = engine.wac_step_value
+    nodes = list(zip(range(g.node_count), g.adjacency, program))
     x = [float(v) for v in inputs]
     snapshots = [x]
     for _ in range(max_rounds):
-        x = [step(x, i, nbrs, s_i) for i, (nbrs, s_i) in enumerate(zip(g.adjacency, program))]
+        x_prev, x = x, []
+        for i, nbrs, scale in nodes:
+            x_i = x_prev[i]
+            acc = 0.0
+            for j in nbrs:
+                acc += x_prev[j] - x_i
+            x.append(x_i + scale * acc)
         snapshots.append(x)
     pairs = {(j, i) for i, nbrs in enumerate(g.adjacency) for j in nbrs}
     return HarnessTrace(states=snapshots, rounds_executed=max_rounds, message_pairs=pairs)

@@ -315,7 +315,7 @@ def trace_residuals(trace) -> list[float]:
 def write_trace_csv(path, trace) -> None:
     """The trace CSV of a whole recorded trace: what cli._trace_writer
     writes when handed every round at once."""
-    with cli._trace_file(path) as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         cli._trace_writer([f], len(trace[0]))(np.array(trace, dtype=float))
 
 

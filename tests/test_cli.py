@@ -228,15 +228,15 @@ class TestStreamedTraces:
     )
     def test_failed_metric_leaves_no_trace(self, extra, opened, tmp_path, monkeypatch):
         files = []
-        real = cli._trace_file
-        monkeypatch.setattr(cli, "_trace_file", lambda path: files.append(path) or real(path))
+        real = cli._output
+        monkeypatch.setattr(cli, "_output", lambda path, undo: files.append(path) or real(path, undo))
         if "--spec" in extra:
             (tmp_path / "spec.txt").write_text(extra[-1])
             extra = extra[:-1] + [str(tmp_path / "spec.txt")]
         out = tmp_path / "out"
         assert main(ER_ARGS + extra + ["--out", str(out)]) == 1
         assert len(files) == opened
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edges, big, extra",
@@ -258,7 +258,33 @@ class TestStreamedTraces:
         argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
         assert main(argv + extra + ["--max-iters", "2000", "--out", str(out)]) == 1
         assert "overflows" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--no-traces"]], ids=["traces", "no-traces"])
+    def test_stage_error_removes_every_directory_it_made(self, extra, tmp_path, capsys):
+        # S(2,0) squares 1e200 and fails; with traces on, a/b/out and stage1's
+        # CSV exist by then.
+        (tmp_path / "edges.txt").write_text("100 200\n200 300\n300 100\n")
+        (tmp_path / "attrs.txt").write_text("100 1.0\n200 1e200\n300 2.0\n")
+        argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
+        assert main(argv + extra + ["--out", str(tmp_path / "a" / "b" / "out")]) == 1
+        assert "node 200" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_failure_keeps_what_an_existing_out_held(self, tmp_path, capsys):
+        # The shifted metric overflows after the first metric and shifted/
+        # have their traces; only what the run made is removed.
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+        (tmp_path / "attrs.txt").write_text("0 1.0\n1 9e153\n2 1.0\n3 9e153\n")
+        out = tmp_path / "out"
+        (out / "old").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
+        assert main(argv + ["--shift", "1e153", "--max-iters", "2000", "--out", str(out)]) == 1
+        assert "overflows" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "old"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert list((out / "old").iterdir()) == []
 
 
 class TestRunExperiment:
@@ -496,13 +522,25 @@ class TestRunExperiment:
         # Total variation's weights are degrees and sums of y, none of which underflows.
         assert main(argv[:4] + ["--no-traces", "--out", str(out)]) == 0
 
+    def test_mean_too_small_for_its_draws_exits_before_the_graph(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 1e-310 is subnormal: its smallest draw rounds to 0.0, so the config rejects it.
+        calls = []
+        monkeypatch.setattr(cli, "generate_synthetic", lambda *a: calls.append(a))
+        out = tmp_path / "o"
+        argv = ["--er", "60", "0.1", "--seed", "1", "--exp-mean", "1e-310", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --exp-mean 1e-310 is so small that a draw rounds to 0.0\n"
+        assert calls == []
+        assert not out.exists()
+
     def test_mean_too_small_for_its_draws_exits_1(self, tmp_path, capsys):
         # Some draws of mean 1e-322 would round to 0.0; the error is the mean's.
         out = tmp_path / "o"
         argv = ["--er", "60", "0.1", "--seed", "1", "--exp-mean", "1e-322", "--no-traces"]
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: mean 1e-322 is so small that a draw rounds to 0.0\n"
+        assert err == "error: --exp-mean 1e-322 is so small that a draw rounds to 0.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -740,9 +740,9 @@ class TestDistributedDelta1:
          ValueError, "polynomial metric needs at least one edge"),
         (lambda: oracle.exact_alphas(Graph(((1,), (0,), ())), [1.0] * 3),
          ValueError, "alphas undefined with isolated nodes"),
-        (lambda: SplitMix64(0).exponential(0.0), ValueError, "mean must be positive"),
-        (lambda: SplitMix64(0).exponential(math.nan), ValueError, "mean must be positive"),
-        (lambda: SplitMix64(0).exponential(math.inf), ValueError, "mean must be finite"),
+        (lambda: SplitMix64(0).exponential(0.0), ValueError, "mean must be positive and finite"),
+        (lambda: SplitMix64(0).exponential(math.nan), ValueError, "mean must be positive and finite"),
+        (lambda: SplitMix64(0).exponential(math.inf), ValueError, "mean must be positive and finite"),
         (lambda: simharness.run_synchronous(
             triangle(), simharness.make_wac_program([2.0] * 3, 0.5), [1.0] * 3, 0),
          ValueError, "max_rounds must be >= 1"),
