@@ -4,8 +4,8 @@ and attach a spectral report, and write traces plus a summary JSON.
 
 Exit codes: 0 = all stages converged, 2 = at least one stage failed to
 converge, 1 = input/configuration error; configuration errors exit before
-any input is read. A failure removes every file and directory the run
-made, and an --out that existed keeps its other contents.
+any input is read. Outputs reach --out only on exit 0 or 2; exit 1 leaves it
+as it was, and a killed run may leave a .linkmetrics-* directory near it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
@@ -125,15 +126,12 @@ def _trace_writer(files: Sequence[IO[str]], n: int) -> engine.RowSink:
     return write
 
 
-def _output(path: Path, undo: contextlib.ExitStack) -> IO[str]:
-    """Open `path` to write UTF-8 with '\n' line ends, making each missing directory
-    above it; `undo` gets the removal of the file and of each directory made."""
-    for parent in reversed(path.parents):
-        if not parent.is_dir():
-            parent.mkdir()
-            undo.callback(parent.rmdir)
-    undo.callback(path.unlink, missing_ok=True)
-    return path.open("w", encoding="utf-8", newline="\n")
+def _publish(staged: Path, out: Path) -> None:
+    """Move the run's files from `staged` to the same places under `out`, summary.json last."""
+    for path in [*staged.rglob("*_trace.csv"), staged / "summary.json"]:
+        target = out / path.relative_to(staged)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        path.replace(target)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ class ExperimentConfig(ConsensusConfig):
 
 def _run_metric(
     g: Graph, y: list[float], spec: metrics.MetricSpec | None, ccfg: ConsensusConfig,
-    out: Path | None, undo: contextlib.ExitStack,
+    out: Path | None,
 ) -> tuple[dict, list[tuple[str, ConsensusRun]]]:
     """Run total variation (spec None) or the polynomial metric `spec`.
 
@@ -186,16 +184,15 @@ def _run_metric(
     value) and the (name, run) pair of each named stage of
     `metrics.stage_plan(spec)`. With `out`, each distinct run streams its
     trace while it iterates to out/<name>_trace.csv under every name that
-    lists it, formatting each round once; each CSV is opened by `_output`
-    on `undo`.
-    """
+    lists it, formatting each round once."""
     plan = metrics.stage_plan(spec)
     named = [(name, lk) for name, lk in plan if name is not None]
     with contextlib.ExitStack() as files:
         traces: dict[tuple[int, int], list[IO[str]]] = {}
         for name, lk in named if out is not None else ():
-            f = files.enter_context(_output(out / f"{name}_trace.csv", undo))
-            traces.setdefault(lk, []).append(f)
+            out.mkdir(exist_ok=True)
+            f = open(out / f"{name}_trace.csv", "w", encoding="utf-8", newline="\n")
+            traces.setdefault(lk, []).append(files.enter_context(f))
         sinks = {lk: _trace_writer(fs, g.node_count) for lk, fs in traces.items()}
         terms = metrics.polynomial_metric_terms(g, y, spec or metrics.FOLDED_TV, ccfg, sinks)
     # The plan lists each term's two stages in the order of the term's two runs.
@@ -245,9 +242,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         y = generate_attributes(g, cfg.exp_mean, cfg.seed)
 
     out = Path(cfg.out_dir)
-    with contextlib.ExitStack() as undo:
-        traces = out if cfg.write_traces else None
-        block, stages = _run_metric(g, y, spec, cfg, traces, undo)
+    # Staged on the file system of --out, each file reaches it by a rename.
+    near = next(d for d in (out, *out.parents) if d.is_dir())
+    with tempfile.TemporaryDirectory(prefix=".linkmetrics-", dir=near) as tmp:
+        staged = Path(tmp)
+        traces = staged if cfg.write_traces else None
+        block, stages = _run_metric(g, y, spec, cfg, traces)
         summary: dict = {
             "graph": {"n": g.node_count, "m": g.edge_count},
             **block,
@@ -284,8 +284,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
         if cfg.shift is not None:
             shifted_y = metrics.shift_attributes(y, cfg.shift)
-            s_traces = out / "shifted" if cfg.write_traces else None
-            s_block, s_stages = _run_metric(g, shifted_y, None, cfg, s_traces, undo)
+            s_block, s_stages = _run_metric(g, shifted_y, None, cfg, traces and traces / "shifted")
             summary["shifted"] = {
                 "shift": cfg.shift,
                 **s_block,
@@ -295,9 +294,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             }
             stages += s_stages
 
-        with _output(out / "summary.json", undo) as f:
+        with open(staged / "summary.json", "w", encoding="utf-8", newline="\n") as f:
             f.write(json.dumps(summary, indent=2) + "\n")
-        undo.pop_all()
+        _publish(staged, out)
     return 0 if all(run.converged for _, run in stages) else 2
 
 

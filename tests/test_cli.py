@@ -153,6 +153,14 @@ SHARED_SPEC = "1 1 1.0\n2 0 1.0\n1 0 1.0\n"
 ER_ARGS = ["--er", "30", "0.2", "--seed", "9", "--exp-mean", "5"]
 
 
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under `root`, relative, with a file's bytes (None for a directory)."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
 class TestStreamedTraces:
     """The CLI writes each trace while its run iterates, one block of
     rounds at a time, rather than from a trace held in memory."""
@@ -228,15 +236,24 @@ class TestStreamedTraces:
     )
     def test_failed_metric_leaves_no_trace(self, extra, opened, tmp_path, monkeypatch):
         files = []
-        real = cli._output
-        monkeypatch.setattr(cli, "_output", lambda path, undo: files.append(path) or real(path, undo))
+        real = cli.metrics.polynomial_metric_terms
+
+        def terms(*args):
+            try:
+                return real(*args)
+            except ValueError:  # the trace files the failing metric has open
+                files.extend(tmp_path.glob(".linkmetrics-*/*_trace.csv"))
+                raise
+
+        monkeypatch.setattr(cli.metrics, "polynomial_metric_terms", terms)
         if "--spec" in extra:
             (tmp_path / "spec.txt").write_text(extra[-1])
             extra = extra[:-1] + [str(tmp_path / "spec.txt")]
         out = tmp_path / "out"
+        inputs = _tree(tmp_path)
         assert main(ER_ARGS + extra + ["--out", str(out)]) == 1
         assert len(files) == opened
-        assert not out.exists()
+        assert _tree(tmp_path) == inputs
 
     @pytest.mark.parametrize(
         "edges, big, extra",
@@ -256,35 +273,62 @@ class TestStreamedTraces:
         )
         out = tmp_path / "out"
         argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
+        inputs = _tree(tmp_path)
         assert main(argv + extra + ["--max-iters", "2000", "--out", str(out)]) == 1
         assert "overflows" in capsys.readouterr().err
-        assert not out.exists()
+        assert _tree(tmp_path) == inputs
 
     @pytest.mark.parametrize("extra", [[], ["--no-traces"]], ids=["traces", "no-traces"])
     def test_stage_error_removes_every_directory_it_made(self, extra, tmp_path, capsys):
-        # S(2,0) squares 1e200 and fails; with traces on, a/b/out and stage1's
-        # CSV exist by then.
+        # S(2,0) squares 1e200 and fails; with traces on, stage1's CSV is
+        # staged by then. No part of a/b/out is made.
         (tmp_path / "edges.txt").write_text("100 200\n200 300\n300 100\n")
         (tmp_path / "attrs.txt").write_text("100 1.0\n200 1e200\n300 2.0\n")
         argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
+        inputs = _tree(tmp_path)
         assert main(argv + extra + ["--out", str(tmp_path / "a" / "b" / "out")]) == 1
         assert "node 200" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists()
+        assert _tree(tmp_path) == inputs
 
     def test_failure_keeps_what_an_existing_out_held(self, tmp_path, capsys):
-        # The shifted metric overflows after the first metric and shifted/
-        # have their traces; only what the run made is removed.
+        # An earlier run's traces and summary, and files of other origin, are
+        # in out when the shifted metric overflows, after the first metric
+        # and shifted/ have their traces; none of them changes.
         (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+        (tmp_path / "good.txt").write_text("0 1.0\n1 2.0\n2 1.0\n3 2.0\n")
         (tmp_path / "attrs.txt").write_text("0 1.0\n1 9e153\n2 1.0\n3 9e153\n")
         out = tmp_path / "out"
         (out / "old").mkdir(parents=True)
         (out / "notes.txt").write_text("kept\n")
-        argv = ["--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt")]
-        assert main(argv + ["--shift", "1e153", "--max-iters", "2000", "--out", str(out)]) == 1
+        edges = ["--edges", str(tmp_path / "edges.txt")]
+        common = ["--shift", "1", "--max-iters", "2000", "--out", str(out)]
+        assert main(edges + ["--attrs", str(tmp_path / "good.txt")] + common) == 0
+        assert (out / "shifted" / "stage3_trace.csv").is_file()
+        before = _tree(tmp_path)
+        failing = ["--attrs", str(tmp_path / "attrs.txt"), "--shift", "1e153"]
+        assert main(edges + failing + common[2:]) == 1
         assert "overflows" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "old"]
-        assert (out / "notes.txt").read_text() == "kept\n"
-        assert list((out / "old").iterdir()) == []
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("extra", [[], ["--no-traces"]], ids=["traces", "no-traces"])
+    @pytest.mark.parametrize("name", ["afile", "afile/sub"])
+    def test_out_under_a_file_exits_1(self, name, extra, triangle_files, tmp_path, capsys):
+        edges, attrs = triangle_files
+        (tmp_path / "afile").write_bytes(b"not a directory\n")
+        before = _tree(tmp_path)
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--shift", "1"]
+        assert main(argv + extra + ["--out", str(tmp_path / name)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    def test_relative_out_stages_beside_it(self, triangle_files, tmp_path, monkeypatch):
+        # The staging directory sits in the working directory, beside out.
+        monkeypatch.chdir(tmp_path)
+        argv = ["--edges", "edges.txt", "--attrs", "attrs.txt", "--shift", "1", "--out", "out"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["attrs.txt", "edges.txt", "out"]
+        traces = [f"{d}stage{i}_trace.csv" for d in ("", "shifted/") for i in (1, 2, 3)]
+        assert sorted(_tree(tmp_path / "out")) == sorted(traces + ["shifted", "summary.json"])
 
 
 class TestRunExperiment:
@@ -846,7 +890,7 @@ class TestRunExperiment:
 
         def report(g, w, epsilon):
             held.append([run.trace is not None for run in runs])
-            written.append(sorted(p.name for p in out.glob("*_trace.csv")))
+            written.append(sorted(p.name for p in tmp_path.glob(".linkmetrics-*/*_trace.csv")))
             return real_report(g, w, epsilon)
 
         monkeypatch.setattr(cli, "_run_metric", run_metric)
