@@ -4,36 +4,5 @@ Weighted-average-consensus pipelines that let every node of an undirected
 graph compute edge-averaged quantities (total variation, arbitrary
 polynomial functions of pair-wise attributes) using only neighbor-local
 exchanges, plus spectral convergence analysis and a centralized reference
-implementation for verification.
+implementation for verification. Import each name from its module.
 """
-
-from .engine import ConsensusConfig, ConsensusRun
-from .graph import Graph, from_edges, parse_edge_list
-from .metrics import (
-    MetricSpec,
-    polynomial_metric,
-    shift_attributes,
-    total_variation_pipeline,
-    tv_metric_spec,
-)
-from .oracle import exact_polynomial_metric, exact_total_variation
-from .spectral import SpectralReport, spectral_report
-
-__all__ = [
-    "ConsensusConfig",
-    "ConsensusRun",
-    "Graph",
-    "MetricSpec",
-    "SpectralReport",
-    "exact_polynomial_metric",
-    "exact_total_variation",
-    "from_edges",
-    "parse_edge_list",
-    "polynomial_metric",
-    "shift_attributes",
-    "spectral_report",
-    "total_variation_pipeline",
-    "tv_metric_spec",
-]
-
-__version__ = "0.1.0"

@@ -70,7 +70,7 @@ def generate_synthetic(n: int, p: float, seed: int) -> Graph:
 def generate_attributes(g: Graph, mean: float, seed: int) -> list[float]:
     """I.i.d. exponential attributes from the pinned generator; all > 0."""
     rng = SplitMix64(derive_seed(seed, _ATTR_STREAM))
-    return [rng.exponential(mean) for _ in range(g.node_count)]
+    return rng.exponential_block(g.node_count, mean)
 
 
 def parse_attribute_file(text: str, g: Graph) -> list[float]:
@@ -127,9 +127,16 @@ def _trace_writer(files: Sequence[IO[str]], n: int) -> engine.RowSink:
 
 
 def _publish(staged: Path, out: Path) -> None:
-    """Move the run's files from `staged` to the same places under `out`, summary.json last."""
-    for path in [*staged.rglob("*_trace.csv"), staged / "summary.json"]:
-        target = out / path.relative_to(staged)
+    """Move the run's files from `staged` to the same places under `out`,
+    summary.json last, once no target is a directory or under a file or dangling link."""
+    paths = [*staged.rglob("*_trace.csv"), staged / "summary.json"]
+    targets = [out / path.relative_to(staged) for path in paths]
+    for target in targets:
+        found = next(d for d in (target, *target.parents) if d.is_symlink() or d.exists())
+        if found.is_dir() == (found == target):
+            kind = "a directory" if found == target else "not a directory"
+            raise FileExistsError(f"cannot write {target}: {found} is {kind}")
+    for path, target in zip(paths, targets):
         target.parent.mkdir(parents=True, exist_ok=True)
         path.replace(target)
 

@@ -9,8 +9,9 @@ sampling, so the whole generation chain is pinned too.
 
 The k-th output is a pure function of seed + k * gamma (Steele, Lea &
 Flood 2014), so `uint64_block` computes a run of outputs as one uint64
-array, bit-identical to as many `next_uint64` calls; the scalar methods
-stay as the reference form.
+array, bit-identical to as many `next_uint64` calls, and `exponential_block`
+maps one such block to the draws of as many `exponential` calls, checking
+the mean once; the scalar methods stay as the reference form.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class SplitMix64:
         # Centring in the ulp keeps u > 0; u = 1.0, as (2**53 - 1) + 0.5 rounds, takes _U_MAX.
         u = min(((self.next_uint64() >> 11) + 0.5) * (1.0 / (1 << 53)), _U_MAX)
         return -mean * math.log(u)
+
+    def exponential_block(self, k: int, mean: float) -> list[float]:
+        """The next k `exponential(mean)` draws, from one `uint64_block(k)`."""
+        check_mean(mean)
+        u = ((self.uint64_block(k) >> np.uint64(11)) + 0.5) * (1.0 / (1 << 53))
+        return [-mean * math.log(x) for x in np.minimum(u, _U_MAX).tolist()]
 
 
 def derive_seed(seed: int, stream: int) -> int:

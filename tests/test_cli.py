@@ -95,7 +95,7 @@ class TestGenerateAttributes:
     @pytest.mark.parametrize("mean", [math.inf, math.nan])
     def test_nonfinite_mean_rejected(self, mean):
         g = generate_synthetic(50, 0.1, 5)
-        # SplitMix64.exponential checks the mean, and NaN is not > 0.
+        # SplitMix64.exponential_block checks the mean, and NaN is not > 0.
         message = "finite" if mean > 0 else "mean must be positive"
         with pytest.raises(ValueError, match=message):
             generate_attributes(g, mean, 2)
@@ -319,6 +319,39 @@ class TestStreamedTraces:
         argv = ["--edges", str(edges), "--attrs", str(attrs), "--shift", "1"]
         assert main(argv + extra + ["--out", str(tmp_path / name)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("summary.json", "directory"),
+            ("stage2_trace.csv", "directory"),
+            ("shifted", "file"),
+            ("shifted", "dangling link"),
+        ],
+        ids=["summary-dir", "trace-dir", "shifted-file", "shifted-link"],
+    )
+    def test_obstacle_in_out_is_found_before_any_file_moves(
+        self, name, kind, triangle_files, tmp_path, capsys
+    ):
+        # A directory where a file goes, or a file or a dangling link where
+        # shifted/ goes: the run exits 1 naming it, and out keeps what it
+        # held, byte for byte.
+        edges, attrs = triangle_files
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        if kind == "directory":
+            (out / name).mkdir()
+        elif kind == "file":
+            (out / name).write_text("not a directory\n")
+        else:
+            (out / name).symlink_to(tmp_path / "missing")
+        before = _tree(tmp_path)
+        argv = ["--edges", str(edges), "--attrs", str(attrs), "--shift", "1", "--out", str(out)]
+        assert main(argv) == 1
+        message = "a directory" if kind == "directory" else "not a directory"
+        assert f"{out / name} is {message}\n" in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
     def test_relative_out_stages_beside_it(self, triangle_files, tmp_path, monkeypatch):

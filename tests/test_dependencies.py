@@ -10,10 +10,19 @@ import linkmetrics
 PACKAGE = Path(linkmetrics.__file__).parent
 
 
+def _fresh_python(script: str) -> str:
+    """What `script` prints in a fresh interpreter that finds this package,
+    since this session has loaded pytest, hypothesis and whatever they import."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return result.stdout
+
+
 def test_modules_import_only_numpy_and_the_standard_library():
-    # A fresh interpreter, since this session has loaded pytest, hypothesis
-    # and whatever they import. NumPy is imported first, so what it loads
-    # itself does not count.
+    # NumPy is imported first, so what it loads itself does not count.
     modules = ["linkmetrics"] + sorted(f"linkmetrics.{p.stem}" for p in PACKAGE.glob("[!_]*.py"))
     script = (
         "import importlib, sys\n"
@@ -24,9 +33,14 @@ def test_modules_import_only_numpy_and_the_standard_library():
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(loaded - set(sys.stdlib_module_names) - {'linkmetrics'}))\n"
     )
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+    assert _fresh_python(script) == "[]\n"
+
+
+def test_package_root_imports_no_module():
+    # Each name is imported from the module that defines it, so the root
+    # loads none of them.
+    script = (
+        "import sys, linkmetrics\n"
+        "print(sorted(name for name in sys.modules if name.startswith('linkmetrics.')))\n"
     )
-    assert result.stdout == "[]\n"
+    assert _fresh_python(script) == "[]\n"

@@ -115,3 +115,42 @@ class TestUint64Block:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             SplitMix64(1).uint64_block(-1)
+
+
+class TestExponentialBlock:
+    MEANS = st.sampled_from(
+        [5.0, 1e-300, 3.7e200, 8.9e-308, math.nextafter(sys.float_info.min, 1.0)]
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=EDGE_SEEDS, k=st.integers(0, 300), mean=MEANS)
+    def test_block_equals_scalar_draws(self, seed, k, mean):
+        rng, scalar = SplitMix64(seed), SplitMix64(seed)
+        block = rng.exponential_block(k, mean)
+        assert all(type(v) is float for v in block)
+        assert [v.hex() for v in block] == [scalar.exponential(mean).hex() for _ in range(k)]
+        assert rng.next_uint64() == scalar.next_uint64()  # the stream goes on in step
+
+    def test_top_draw_takes_the_largest_u_below_one(self):
+        # The first output's top 53 bits are all ones, as in test_top_draw_is_positive.
+        seed = _seed_with_first_output(0xFFFFFFFFFFFFF800)
+        block = SplitMix64(seed).exponential_block(2, 5.0)
+        scalar = SplitMix64(seed)
+        assert block == [scalar.exponential(5.0), scalar.exponential(5.0)]
+        assert block[0] == 5.0 * 2.0**-53 > 0
+
+    @pytest.mark.parametrize(
+        "mean, message",
+        [
+            (0.0, "mean must be positive and finite"),
+            (-1.0, "mean must be positive and finite"),
+            (math.nan, "mean must be positive and finite"),
+            (math.inf, "mean must be positive and finite"),
+            (sys.float_info.min, "is so small that a draw rounds to 0.0"),
+        ],
+    )
+    def test_bad_mean_rejected_before_any_draw(self, mean, message):
+        rng = SplitMix64(7)
+        with pytest.raises(ValueError, match=message):
+            rng.exponential_block(10, mean)
+        assert rng.next_uint64() == SplitMix64(7).next_uint64()
