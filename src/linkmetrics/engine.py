@@ -237,7 +237,7 @@ def wac_run(
             raise ConfigurationError("record_trace collects the rows itself; pass no sink")
         trace = []
         sink = trace.extend
-    final, used, stop_reason = _iterate(g, x, eps / weights, cfg, sink)
+    final, used, stop_reason = _iterate(g, x, eps / weights, cfg, sink or (lambda rows: None))
     value = math.nan
     if np.isfinite(final).all():
         try:
@@ -262,11 +262,11 @@ def _iterate(
     x: np.ndarray,
     scale: np.ndarray,
     cfg: ConsensusConfig,
-    sink: RowSink | None,
+    sink: RowSink,
 ) -> tuple[np.ndarray, int, str]:
     """The rounds of `wac_run` from state x with per-node scale eps / w_i,
-    handed to `sink` unless it is None: the final state, the number of
-    rounds kept and the stop reason."""
+    handed to `sink`: the final state, the number of rounds kept and the
+    stop reason."""
     n = g.node_count
     ends, _ = _neighbor_layout(g)
     m = len(ends) // 2
@@ -279,8 +279,7 @@ def _iterate(
         step_tolerance *= size
         spread_tolerance = max(spread_tolerance * size, 16 * math.ulp(top))
 
-    if sink is not None:
-        sink(x[np.newaxis])
+    sink(x[np.newaxis])
     used, stop_reason = 0, None
     # Divergent runs overflow to inf and nan, then stop on the non-finite
     # residual, so the floating-point warnings carry nothing.
@@ -316,8 +315,7 @@ def _iterate(
                 count = int(hits[0]) + 1
                 stop_reason = ("nonfinite", "step", "spread")[tests[:, count - 1].argmax()]
             used += count
-            if sink is not None:
-                sink(block[1:count + 1])
+            sink(block[1:count + 1])
             x = block[count]
     # A copy, so that the run keeps no view of the last block.
     return x.copy(), used, stop_reason or "cap"

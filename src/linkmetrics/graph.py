@@ -115,17 +115,14 @@ def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
             yield lineno, line, line.split()
 
 
-def parse_edge_list(source: str | bytes) -> Graph:
+def parse_edge_list(source: str) -> Graph:
     """Parse a SNAP-style edge list into a Graph.
 
     Lines starting with '#' are comments; data lines hold two
     whitespace-separated non-negative integers. Original ids are remapped
     densely in first-appearance order; duplicate edges (in either
-    orientation) are collapsed. Bytes are UTF-8, with or without a BOM.
+    orientation) are collapsed.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
-
     labels: list[int] = []  # both ends of every data line, in file order
     for lineno, line, parts in data_lines(source):
         if len(parts) != 2:
@@ -148,6 +145,7 @@ def parse_edge_list(source: str | bytes) -> Graph:
 
 
 def load_edge_list(path: str | Path) -> Graph:
+    """Parse the edge-list file at `path`, UTF-8 with or without a BOM."""
     return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
 
 

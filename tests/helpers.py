@@ -103,11 +103,9 @@ def reference_from_edges(n: int, edges, original_ids=None) -> Graph:
     )
 
 
-def reference_parse_edge_list(source) -> Graph:
+def reference_parse_edge_list(source: str) -> Graph:
     """graph.parse_edge_list as one loop over the lines that checks each
     line and numbers each new label as it first appears."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
     index_of: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):

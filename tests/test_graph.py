@@ -14,6 +14,7 @@ from linkmetrics.graph import (
     from_edges,
     is_connected,
     largest_connected_component,
+    load_edge_list,
     parse_edge_list,
 )
 
@@ -60,9 +61,14 @@ class TestParseEdgeList:
         assert g.original_ids == (100, 7, 42)
         assert g.adjacency == ((1,), (0, 2), (1,))
 
-    def test_tab_separated_and_bytes(self):
-        g = parse_edge_list(b"0\t1\n1\t2\n")
+    def test_tab_separated(self):
+        g = parse_edge_list("0\t1\n1\t2\n")
         assert g.edge_count == 2
+
+    def test_bytes_rejected(self):
+        # Files are decoded where they are read; the parser takes text only.
+        with pytest.raises(TypeError):
+            parse_edge_list(b"0 1\n")
 
 
 class TestStoredFields:
@@ -252,13 +258,11 @@ _OTHER_LINES = st.sampled_from([
 @st.composite
 def edge_list_texts(draw):
     """SNAP-style text: edge lines with a few comment, blank, malformed or
-    unusual lines inserted, as str or as bytes (some with a BOM)."""
+    unusual lines inserted."""
     lines = draw(st.lists(_edge_line(), max_size=30))
     for other in draw(st.lists(_OTHER_LINES, max_size=4)):
         lines.insert(draw(st.integers(0, len(lines))), other)
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
-    encoding = draw(st.sampled_from([None, "utf-8", "utf-8-sig"]))
-    return text if encoding is None else text.encode(encoding)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
 class TestArrayIngest:
@@ -275,6 +279,14 @@ class TestArrayIngest:
             assert list(got.edges()) == [
                 (i, j) for i, nbrs in enumerate(got.adjacency) for j in nbrs if j > i
             ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_list_texts(), st.sampled_from(["utf-8", "utf-8-sig"]))
+    def test_load_matches_reference(self, tmp_path_factory, text, encoding):
+        # A file saved with a byte-order mark reads as the same text without one.
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(text.encode(encoding))
+        assert _outcome(load_edge_list, path) == _outcome(reference_parse_edge_list, text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.data())
@@ -321,6 +333,7 @@ class TestArrayIngest:
                 parse_edge_list(text)
             assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
 
-    def test_bom_bytes(self):
-        g = parse_edge_list("\ufeff# header\n0 1\n1 2\n".encode("utf-8"))
-        assert g == parse_edge_list("0 1\n1 2\n")
+    def test_bom_file(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes("\ufeff# header\n0 1\n1 2\n".encode("utf-8"))
+        assert load_edge_list(path) == parse_edge_list("0 1\n1 2\n")
