@@ -79,13 +79,7 @@ def parse_attribute_file(text: str, g: Graph) -> list[float]:
     Every graph node must receive exactly one positive value.
     """
     by_label: dict[int, float] = {}
-    for lineno, line, parts in graphmod.data_lines(text):
-        if len(parts) != 2:
-            raise ValueError(f"attribute line {lineno}: expected 'node value'")
-        try:
-            label, value = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValueError(f"attribute line {lineno}: bad token in {line!r}") from None
+    for lineno, (label, value) in graphmod.data_rows(text, "attribute", (int, float)):
         if label in by_label:
             raise ValueError(f"attribute line {lineno}: duplicate value for node {label}")
         by_label[label] = value

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import engine
 from .engine import ConsensusConfig, ConsensusRun, RowSink
-from .graph import Graph, data_lines
+from .graph import Graph, data_rows
 
 Sinks = Mapping[tuple[int, int], RowSink]
 """The row sink of each stage S(l, k) whose rounds are kept, by (l, k); a
@@ -52,15 +52,8 @@ def tv_metric_spec() -> MetricSpec:
 
 def parse_metric_spec(text: str) -> MetricSpec:
     """Parse 'l k c' lines ('#' comments allowed) into a MetricSpec."""
-    terms = []
-    for lineno, line, parts in data_lines(text):
-        if len(parts) != 3:
-            raise ValueError(f"spec line {lineno}: expected 'l k c'")
-        try:
-            terms.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ValueError(f"spec line {lineno}: bad token in {line!r}") from None
-    return MetricSpec(terms=tuple(terms))
+    rows = data_rows(text, "spec", (int, int, float))
+    return MetricSpec(terms=tuple(tuple(term) for _, term in rows))
 
 
 @dataclass

@@ -29,15 +29,16 @@ def _fsum(values) -> float:
     return total
 
 
-def _check_finite(y: Sequence[float]) -> None:
-    for i, v in enumerate(y):
+def _check_finite(g: Graph, y: Sequence[float]) -> None:
+    """ValueError naming the first non-finite attribute's node by its label."""
+    for label, v in zip(g.original_ids, y):
         if not math.isfinite(v):
-            raise ValueError(f"node {i}: attribute {float(v)!r} is not finite")
+            raise ValueError(f"node {label}: attribute {float(v)!r} is not finite")
 
 
 def exact_total_variation(g: Graph, y: Sequence[float]) -> float:
     """Per-edge average of squared attribute differences."""
-    _check_finite(y)
+    _check_finite(g, y)
     if g.edge_count < 1:
         raise ValueError("total variation needs at least one edge")
     return _fsum((y[i] - y[j]) ** 2 for i, j in g.edges()) / g.edge_count
@@ -48,7 +49,7 @@ def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> f
     edge's f(u, v) equals the `math.fsum` of its terms c * u**l * v**k
     bit for bit, from node powers taken once with `**` and terms
     multiplied left to right."""
-    _check_finite(y)
+    _check_finite(g, y)
     if g.edge_count < 1:
         raise ValueError("polynomial metric needs at least one edge")
     i, j = g.edge_arrays
@@ -69,7 +70,7 @@ def exact_polynomial_metric(g: Graph, y: Sequence[float], spec: MetricSpec) -> f
 
 def exact_alphas(g: Graph, y: Sequence[float]) -> tuple[float, float, float]:
     """Closed-form stage targets (alpha1, alpha2, alpha3) of the TV pipeline."""
-    _check_finite(y)
+    _check_finite(g, y)
     if any(d == 0 for d in g.degrees):
         raise ValueError("alphas undefined with isolated nodes")
     deg_sum = _fsum(g.degrees)

@@ -41,6 +41,20 @@ def complete(n: int) -> Graph:
     return from_edges(n, [(i, j) for i in range(n - 1) for j in range(i + 1, n)])
 
 
+def barbell(m: int, bridge: int) -> Graph:
+    """Two m-cliques joined by a path through `bridge` further nodes."""
+    clique = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
+    far = [(i + m + bridge, j + m + bridge) for i, j in clique]
+    bridge_path = [(i, i + 1) for i in range(m - 1, m + bridge)]
+    return from_edges(2 * m + bridge, clique + far + bridge_path)
+
+
+def lollipop(m: int, tail: int) -> Graph:
+    """An m-clique with a path of `tail` further nodes hanging off its last node."""
+    clique = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
+    return from_edges(m + tail, clique + [(i, i + 1) for i in range(m - 1, m + tail - 1)])
+
+
 def preferential_attachment(n: int, attach: int, seed: int) -> Graph:
     """Seeded Barabasi-Albert graph: a clique on attach+1 nodes, then each
     new node links to `attach` distinct earlier nodes drawn in proportion
@@ -114,15 +128,15 @@ def reference_parse_edge_list(source: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected two tokens, got {len(parts)}")
+            raise GraphFormatError(f"edge line {lineno}: expected 2 tokens, got {len(parts)}")
         try:
             u_lbl, v_lbl = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-numeric token in {line!r}") from None
+            raise GraphFormatError(f"edge line {lineno}: bad token in {line!r}") from None
         if u_lbl < 0 or v_lbl < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id")
+            raise GraphFormatError(f"edge line {lineno}: negative node id")
         if u_lbl == v_lbl:
-            raise GraphFormatError(f"line {lineno}: self-loop on node {u_lbl}")
+            raise GraphFormatError(f"edge line {lineno}: self-loop on node {u_lbl}")
         for lbl in (u_lbl, v_lbl):
             index_of.setdefault(lbl, len(index_of))
         edges.append((index_of[u_lbl], index_of[v_lbl]))

@@ -776,9 +776,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "attrs_text, extra, message",
         [
-            ("0\n1 2.0\n2 3.0\n", [], "attribute line 1: expected 'node value'"),
-            ("0 1.0\n1 x\n2 3.0\n", [], "attribute line 2: bad token"),
-            (TRIANGLE_ATTRS, ["--metric", "poly", "--spec", "SPEC"], "spec line 1: bad token"),
+            ("0\n1 2.0\n2 3.0\n", [], "attribute line 1: expected 2 tokens, got 1"),
+            ("0 1.0\n1 x\n2 3.0\n", [], "attribute line 2: bad token in '1 x'"),
+            (TRIANGLE_ATTRS, ["--metric", "poly", "--spec", "SPEC"],
+             "spec line 1: bad token in '1 1 x'"),
             (TRIANGLE_ATTRS, ["--eps-frac", "1.5"], "epsilon_fraction must lie in (0, 1)"),
             (TRIANGLE_ATTRS, ["--max-iters", "0"], "max_iterations must be >= 1"),
             (None, ["--er", "1", "0.5", "--seed", "1", "--exp-mean", "5"], "n must be >= 2"),

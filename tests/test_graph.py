@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics import cli
+from linkmetrics import cli, metrics
 from linkmetrics.graph import (
     DisconnectedGraphError,
     EmptyGraphError,
@@ -69,6 +69,33 @@ class TestParseEdgeList:
         # Files are decoded where they are read; the parser takes text only.
         with pytest.raises(TypeError):
             parse_edge_list(b"0 1\n")
+
+
+class TestDataRows:
+    """Each parser reads its file through graph.data_rows: blank and '#'
+    lines are skipped but counted, and the first line with the wrong token
+    count or a bad token is named by its file's kind and its number."""
+
+    @pytest.mark.parametrize(
+        "parse, good, bad, message",
+        [
+            (parse_edge_list, "0 1", "0 1 2", "edge line 4: expected 2 tokens, got 3"),
+            (parse_edge_list, "0 1", " 1\tx ", "edge line 4: bad token in '1\\tx'"),
+            (lambda text: cli.parse_attribute_file(text, triangle()), "0 1.0", "1",
+             "attribute line 4: expected 2 tokens, got 1"),
+            (lambda text: cli.parse_attribute_file(text, triangle()), "0 1.0", "1 x",
+             "attribute line 4: bad token in '1 x'"),
+            (metrics.parse_metric_spec, "1 1 1.0", "1 1", "spec line 4: expected 3 tokens, got 2"),
+            (metrics.parse_metric_spec, "1 1 1.0", "2 0.5 1",
+             "spec line 4: bad token in '2 0.5 1'"),
+        ],
+        ids=["edge-arity", "edge-token", "attribute-arity", "attribute-token", "spec-arity",
+             "spec-token"],
+    )
+    def test_names_the_first_malformed_line(self, parse, good, bad, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse(f"\n# comment\n{good}\n{bad}\n{good}\n")
+        assert str(info.value) == message
 
 
 class TestStoredFields:
@@ -329,7 +356,7 @@ class TestArrayIngest:
         lines = ["0 1", "2 2", "-1 3", "x 4", "1 2 3"]
         for first in range(1, len(lines)):
             text = "\n".join(lines[:1] + lines[first:] + lines[1:first])
-            with pytest.raises(GraphFormatError, match="line 2: "):
+            with pytest.raises(GraphFormatError, match="^edge line 2: "):
                 parse_edge_list(text)
             assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics.graph import from_edges
+from linkmetrics.graph import from_edges, parse_edge_list
 from linkmetrics.metrics import MetricSpec, tv_metric_spec
 from linkmetrics.oracle import exact_alphas, exact_polynomial_metric, exact_total_variation
 
@@ -122,6 +122,19 @@ class TestNonFiniteAttribute:
         with pytest.raises(ValueError) as info:
             reference(triangle(), [1.0, bad, 3.0])
         assert str(info.value) == f"node 1: attribute {bad!r} is not finite"
+
+    @pytest.mark.parametrize(
+        "reference",
+        [exact_total_variation, exact_alphas,
+         lambda g, y: exact_polynomial_metric(g, y, tv_metric_spec())],
+        ids=["total-variation", "alphas", "polynomial"],
+    )
+    def test_names_the_label(self, reference):
+        # The label of the input files, as cli.parse_attribute_file names it.
+        g = parse_edge_list("10 20\n20 30\n")
+        with pytest.raises(ValueError) as info:
+            reference(g, [1.0, math.nan, 2.0])
+        assert str(info.value) == "node 20: attribute nan is not finite"
 
     def test_square_overflow_keeps_its_message(self):
         with pytest.raises(ValueError) as info:
