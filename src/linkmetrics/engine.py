@@ -66,7 +66,7 @@ class ConsensusConfig:
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ConfigurationError("epsilon must be positive and finite")
         if self.allow_unstable_epsilon and self.epsilon is None:
-            # A fraction of Delta lies in (0, Delta), so nothing would read the flag.
+            # A fraction of Delta lies in (0, Delta) or is refused, so nothing would read the flag.
             raise ConfigurationError("allow_unstable_epsilon needs an explicit epsilon")
 
 
@@ -198,11 +198,11 @@ def wac_run(
 ) -> ConsensusRun:
     """Run the weighted-average-consensus iteration to the stopping rule.
 
-    The step bound Delta comes from `max_step_size`, and the step size is
-    `epsilon_fraction` of Delta or the explicit `epsilon`, which must lie
-    below Delta unless `allow_unstable_epsilon` is set. Stops when the max
-    per-node step drops below `step_tolerance`, the state spread drops
-    below `spread_tolerance`, or `max_iterations` is hit (converged=False).
+    The step size is `epsilon_fraction` of the bound Delta from
+    `max_step_size`, or the explicit `epsilon`. It must lie in (0, Delta)
+    unless `allow_unstable_epsilon` is set, and no eps/w_i may round to
+    0.0. Stops when the max per-node step drops below `step_tolerance`, the
+    spread below `spread_tolerance`, or at `max_iterations` (unconverged).
     Runs that blow up to non-finite values abort early as unconverged, and
     a run whose consensus value is not finite never counts as converged.
     Both tolerances are multiplied by min(1, max_i |x_i(0)|) when that is
@@ -223,21 +223,22 @@ def wac_run(
         raise ConfigurationError("x0/w length must equal node count")
     delta = max_step_size(w, g)
     eps = cfg.epsilon_fraction * delta if cfg.epsilon is None else cfg.epsilon
-    if not (cfg.epsilon is None or eps < delta or cfg.allow_unstable_epsilon):
-        raise ConfigurationError(
-            f"epsilon {eps} outside stable range (0, {delta}); "
-            "pass allow_unstable_epsilon to experiment beyond the bound"
-        )
+    if not (0 < eps < delta or cfg.allow_unstable_epsilon):  # a derived eps only by underflow
+        hint = "; pass allow_unstable_epsilon to experiment beyond the bound" if cfg.epsilon else ""
+        raise ConfigurationError(f"epsilon {eps} outside stable range (0, {delta}){hint}")
+    weights = np.array(w, dtype=float)
+    scale = eps / weights
+    if not scale.all():  # that node would never move, yet pass the step test
+        raise ConfigurationError(f"epsilon {eps} / w[{scale.argmin()}] underflows to 0.0")
 
     x = np.array(x0, dtype=float)
-    weights = np.array(w, dtype=float)
     trace: list[np.ndarray] | None = None
     if cfg.record_trace:
         if sink is not None:
             raise ConfigurationError("record_trace collects the rows itself; pass no sink")
         trace = []
         sink = trace.extend
-    final, used, stop_reason = _iterate(g, x, eps / weights, cfg, sink or (lambda rows: None))
+    final, used, stop_reason = _iterate(g, x, scale, cfg, sink or (lambda rows: None))
     value = math.nan
     if np.isfinite(final).all():
         try:

@@ -94,9 +94,13 @@ def _stage(
 ) -> ConsensusRun:
     """Stage S(l, k): states y_i**l, weights the neighbor sums of y_j**k."""
     w = engine.neighbor_weight_sums(g, y, k)  # validates y
-    if not w.all():  # every y_j > 0, so a zero weight sum underflowed
-        node = g.original_ids[w.argmin()]
-        raise ValueError(f"stage S({l},{k}): node {node}: weight underflows to 0.0")
+    ratios = w / g.degrees  # their minimum is the step bound Delta
+    bad = ~((ratios > 0) & (ratios < math.inf))  # each y_j > 0: only an under- or overflow fails
+    if bad.any():
+        i = bad.argmax()
+        cause = ("weight underflows to 0.0" if w[i] == 0 else
+                 f"weight {float(w[i])!r} over degree {g.degrees[i]} is {float(ratios[i])!r}")
+        raise ValueError(f"stage S({l},{k}): node {g.original_ids[i]}: {cause}")
     x0 = engine.node_powers(y, l, g.original_ids)
     # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
     if not math.isfinite(max(g.degrees) * float(x0.max())):
@@ -140,9 +144,8 @@ def total_variation_pipeline(
     sums as weights; stage 3 (WAC2) S(1,0), attributes with degree weights.
     """
     squares, cross = terms = polynomial_metric_terms(g, y, FOLDED_TV, cfg)
-    runs = (squares.runs[0], *cross.runs)
-    alphas = (squares.alpha_1lk, cross.alpha_1lk, cross.alpha_2lk)
-    return TVResult(*alphas, polynomial_metric_value(terms), runs)
+    runs = (squares.runs[0], *cross.runs)  # alpha_i is the value of stage i
+    return TVResult(*(run.consensus_value for run in runs), polynomial_metric_value(terms), runs)
 
 
 def polynomial_metric_terms(

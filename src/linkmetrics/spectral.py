@@ -26,7 +26,6 @@ class NotEstimableError(RuntimeError):
 
 @dataclass
 class SpectralReport:
-    epsilon: float
     eigenvalues: list[float]
     rho: float
 
@@ -58,7 +57,7 @@ def spectral_report(g: Graph, w: Sequence[float], epsilon: float) -> SpectralRep
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     eigs = np.linalg.eigvalsh(normalized_weight_matrix(g, w, epsilon))[::-1].tolist()
-    return SpectralReport(epsilon=epsilon, eigenvalues=eigs, rho=convergence_factor(eigs))
+    return SpectralReport(eigenvalues=eigs, rho=convergence_factor(eigs))
 
 
 def empirical_convergence_factor(run: ConsensusRun, target: Sequence[float]) -> float:

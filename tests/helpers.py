@@ -264,6 +264,8 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     dst = np.array([j for nbrs in g.adjacency for j in nbrs], dtype=np.intp)
     x = np.array(x0, dtype=float)
     scale = eps / np.array(w, dtype=float)
+    if not scale.all():
+        raise engine.ConfigurationError(f"epsilon {eps} / some w_i underflows to 0.0")
     diff = np.empty(len(dst))
     trace = [x] if cfg.record_trace else None
     step_tolerance, spread_tolerance = cfg.step_tolerance, cfg.spread_tolerance

@@ -599,6 +599,29 @@ class TestRunExperiment:
         # Total variation's weights are degrees and sums of y, none of which underflows.
         assert main(argv[:4] + ["--no-traces", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("edges, attrs, spec, message", [
+        # Node 100's weight is 2.3e-162**2 = 5e-324, and 5e-324/3, the step
+        # bound, rounds to 0.0: the stage ran with a zero step and "converged".
+        ("100 200\n100 300\n100 400\n", "100 1.0\n200 2.3e-162\n300 1e-170\n400 1e-170\n",
+         "1 2 1\n", "stage S(1,2): node 100: weight 5e-324 over degree 3 is 0.0"),
+        # Node 20's weight 1e308 + 1e308 overflows.
+        ("10 20\n20 30\n", "10 1e308\n20 1.0\n30 1e308\n", "0 1 1\n",
+         "stage S(0,1): node 20: weight inf over degree 2 is inf"),
+    ], ids=["star", "path"])
+    def test_weight_over_degree_outside_float_range_names_stage_and_label(
+        self, tmp_path, capsys, edges, attrs, spec, message,
+    ):
+        paths = {}
+        for name, text in (("edges", edges), ("attrs", attrs), ("spec", spec)):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        out = tmp_path / "o"
+        argv = ["--edges", str(paths["edges"]), "--attrs", str(paths["attrs"]), "--metric",
+                "poly", "--spec", str(paths["spec"]), "--oracle", "--no-traces", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "summary.json").exists()
+
     def test_mean_too_small_for_its_draws_exits_before_the_graph(self, tmp_path, capsys,
                                                                  monkeypatch):
         # 1e-310 is subnormal: its smallest draw rounds to 0.0, so the config rejects it.

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from linkmetrics import cli, engine, oracle, simharness, spectral
 from linkmetrics.engine import (
@@ -236,6 +236,19 @@ class TestWacRun:
     def test_epsilon_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3, ConsensusConfig(epsilon=1.5))
+
+    @pytest.mark.parametrize("w, epsilon, message", [
+        # Delta = 5e-324/2 rounds to 0.0, and so does the derived step.
+        ([5e-324, 1.0, 1.0], None, r"^epsilon 0\.0 outside stable range \(0, 0\.0\)$"),
+        # Delta = 5e-323/2, and 0.9 of it rounds back up to Delta.
+        ([5e-323, 10.0, 10.0], None, r"^epsilon 2\.5e-323 outside stable range \(0, 2\.5e-323\)$"),
+        # A stable step, but 2e-323/10 rounds to 0.0, so nodes 1 and 2 could never move.
+        ([5e-323, 10.0, 10.0], 2e-323, r"^epsilon 2e-323 / w\[1\] underflows to 0\.0$"),
+    ], ids=["delta-zero", "eps-equals-delta", "eps-over-w-zero"])
+    def test_step_that_cannot_move_every_node_rejected(self, w, epsilon, message):
+        # Each of these ran and reported "converged" with nodes that never moved.
+        with pytest.raises(ConfigurationError, match=message):
+            wac_run(triangle(), [1.0, 2.0, 3.0], w, ConsensusConfig(epsilon=epsilon))
 
     def test_unstable_epsilon_override_runs_unconverged(self):
         cfg = ConsensusConfig(
@@ -524,10 +537,19 @@ def _assert_same_run(run, ref):
         assert [_raw_bits(r) for r in run.trace] == [_raw_bits(r) for r in ref.trace]
 
 
+def _run_outcome(run, g, x0, w, cfg):
+    """The run, or the type of the ConfigurationError that refuses it."""
+    try:
+        return run(g, x0, w, cfg)
+    except ConfigurationError as exc:
+        return type(exc)
+
+
 _SPECIAL_STATES = st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1.7e308]
 )
 _TOLERANCES = st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 100.0])
+_TINY_WEIGHTS = st.sampled_from([5e-324, 5e-323, 1e-320])
 
 
 class TestBlockedRounds:
@@ -542,8 +564,11 @@ class TestBlockedRounds:
         if data.draw(st.booleans()):
             x0[data.draw(st.integers(0, n - 1))] = data.draw(_SPECIAL_STATES)
         w = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        if data.draw(st.booleans()):  # Delta or some eps/w_i may then round to 0.0
+            w[data.draw(st.integers(0, n - 1))] = data.draw(_TINY_WEIGHTS)
         fraction = data.draw(st.sampled_from([None, 0.5, 1.9, 2.5]))
         epsilon = None if fraction is None else fraction * max_step_size(w, g)
+        assume(epsilon != 0.0)  # the config refuses an explicit zero step
         settings_ = dict(
             epsilon=epsilon,
             # The fraction policy never reads the flag, so it needs an explicit step.
@@ -555,7 +580,11 @@ class TestBlockedRounds:
         # Every cap from 1 to the end of the third block.
         for cap in range(1, 3 * engine._BLOCK + 1):
             cfg = ConsensusConfig(max_iterations=cap, **settings_)
-            _assert_same_run(wac_run(g, x0, w, cfg), reference_wac_run(g, x0, w, cfg))
+            run, ref = (_run_outcome(f, g, x0, w, cfg) for f in (wac_run, reference_wac_run))
+            if isinstance(ref, type):
+                assert run is ref
+            else:
+                _assert_same_run(run, ref)
 
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("rule", ["step", "spread"])
