@@ -160,8 +160,9 @@ class ExperimentConfig(ConsensusConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if (self.edges_path is None) == (self.er_n is None):
-            raise ValueError("choose exactly one graph source (--edges or --er)")
+        if ((self.edges_path is None) == (self.er_n is None)
+                or (self.er_n is None) != (self.er_p is None)):
+            raise ValueError("choose exactly one graph source (--edges, or --er N P)")
         if (self.attrs_path is None) == (self.exp_mean is None):
             raise ValueError("choose exactly one attribute source (--attrs or --exp-mean)")
         if (self.er_n is not None or self.exp_mean is not None) != (self.seed is not None):
@@ -356,7 +357,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ValueError("--metric poly and --spec PATH go together")
     if "er" in fields:
         n, p = fields.pop("er")
-        fields.update(er_n=int(n), er_p=float(p))
+        try:
+            fields.update(er_n=int(n), er_p=float(p))
+        except ValueError:
+            raise ValueError(f"--er takes an integer N and a number P, not {n!r} {p!r}") from None
     return ExperimentConfig(**fields)
 
 

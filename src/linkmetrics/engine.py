@@ -110,15 +110,18 @@ def validate_positive(values: Sequence[float], name: str) -> None:
 
 def max_step_size(w: Sequence[float], g: Graph) -> float:
     """Stability bound Delta = min_i w_i / d_i, agreed by min-consensus
-    from each node's own w_i / d_i within N - 1 rounds, which bound the
-    diameter; a disconnected graph raises DisconnectedGraphError."""
+    within N - 1 rounds, which bound the diameter. A disconnected graph
+    raises DisconnectedGraphError, a w_i / d_i outside (0, inf) ConfigurationError."""
     if 0 in g.degrees:
         raise IsolatedNodeError("graph has an isolated node")
-    validate_positive(w, "w")
     if len(w) != g.node_count:
         raise ConfigurationError("weight vector length mismatch")
     # Both float64: an int64 divisor would be cast through ufunc buffers.
     ratios = np.asarray(w, dtype=float) / np.array(g.degrees, dtype=float)
+    i = ((ratios > 0) & (ratios < math.inf)).argmin()  # the first node that fails, if any
+    if not 0 < ratios[i] < math.inf:
+        ratio = f"weight {float(w[i])!r} over degree {g.degrees[i]} is {float(ratios[i])!r}"
+        raise ConfigurationError(f"node {g.original_ids[i]}: {ratio}")
     return min_consensus(g, ratios, max(1, g.node_count - 1))[0][0]
 
 
@@ -229,7 +232,8 @@ def wac_run(
     weights = np.array(w, dtype=float)
     scale = eps / weights
     if not scale.all():  # that node would never move, yet pass the step test
-        raise ConfigurationError(f"epsilon {eps} / w[{scale.argmin()}] underflows to 0.0")
+        i = scale.argmin()
+        raise ConfigurationError(f"node {g.original_ids[i]}: epsilon {eps} / {weights[i]} is 0.0")
 
     x = np.array(x0, dtype=float)
     trace: list[np.ndarray] | None = None

@@ -93,19 +93,15 @@ def _stage(
     sinks: Sinks | None = None,
 ) -> ConsensusRun:
     """Stage S(l, k): states y_i**l, weights the neighbor sums of y_j**k."""
-    w = engine.neighbor_weight_sums(g, y, k)  # validates y
-    ratios = w / g.degrees  # their minimum is the step bound Delta
-    bad = ~((ratios > 0) & (ratios < math.inf))  # each y_j > 0: only an under- or overflow fails
-    if bad.any():
-        i = bad.argmax()
-        cause = ("weight underflows to 0.0" if w[i] == 0 else
-                 f"weight {float(w[i])!r} over degree {g.degrees[i]} is {float(ratios[i])!r}")
-        raise ValueError(f"stage S({l},{k}): node {g.original_ids[i]}: {cause}")
-    x0 = engine.node_powers(y, l, g.original_ids)
-    # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
-    if not math.isfinite(max(g.degrees) * float(x0.max())):
-        raise ValueError(f"stage S({l},{k}): largest degree times largest y**{l} overflows")
-    return engine.wac_run(g, x0, w, cfg, sinks.get((l, k)) if sinks else None)
+    try:
+        w = engine.neighbor_weight_sums(g, y, k)  # validates y
+        x0 = engine.node_powers(y, l, g.original_ids)
+        # Stable steps keep states in [min x0, max x0], so no sum exceeds d_i * max x0.
+        if not math.isfinite(max(g.degrees) * float(x0.max())):
+            raise ValueError(f"largest degree times largest y**{l} overflows")
+        return engine.wac_run(g, x0, w, cfg, sinks.get((l, k)) if sinks else None)
+    except ValueError as exc:
+        raise type(exc)(f"stage S({l},{k}): {exc}") from None
 
 
 def _finite(value: float, alphas: Sequence[float], name: str) -> float:

@@ -28,11 +28,13 @@ _U_MAX = 1.0 - 2.0**-53  # the largest float below 1.0
 
 
 def check_mean(mean: float, name: str = "mean") -> None:
-    """Raise ValueError, naming `name`, unless every exponential draw of `mean` is > 0."""
+    """Raise ValueError, naming `name`, unless every draw of `mean` is finite and > 0."""
     if not 0 < mean < math.inf:  # NaN is not > 0
         raise ValueError(f"{name} must be positive and finite")
     if not -mean * math.log(_U_MAX) > 0:  # the smallest draw, at the largest u
         raise ValueError(f"{name} {mean!r} is so small that a draw rounds to 0.0")
+    if not -mean * math.log(2.0**-54) < math.inf:  # the largest draw, at the smallest u
+        raise ValueError(f"{name} {mean!r} is so large that a draw overflows to inf")
 
 
 class SplitMix64:

@@ -253,7 +253,10 @@ def reference_wac_run(g: Graph, x0, w, cfg=None) -> SimpleNamespace:
     if len(x0) != g.node_count or len(w) != g.node_count:
         raise engine.ConfigurationError("x0/w length must equal node count")
     # The bound and the step size by their definitions, not the engine's code.
-    delta = min(float(wi) / d for wi, d in zip(w, g.degrees))
+    ratios = [float(wi) / d for wi, d in zip(w, g.degrees)]
+    if not all(0 < r < math.inf for r in ratios):
+        raise engine.ConfigurationError("some w_i / d_i lies outside (0, inf)")
+    delta = min(ratios)
     eps = cfg.epsilon_fraction * delta if cfg.epsilon is None else cfg.epsilon
     if not (0 < eps < delta or cfg.allow_unstable_epsilon) or not 0 < eps < math.inf:
         raise engine.ConfigurationError(f"epsilon {eps} outside stable range (0, {delta})")

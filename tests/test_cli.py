@@ -578,7 +578,8 @@ class TestRunExperiment:
             argv += ["--metric", "poly", "--spec", str(spec)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: node 200: attribute 1e+200 to the power 2 is not finite\n"
+        stage = "S(2,0)" if spec_text is None else "S(0,2)"
+        assert err == f"error: stage {stage}: node 200: attribute 1e+200 to the power 2 is not finite\n"
         assert not (out / "summary.json").exists()
 
     def test_underflowing_weight_names_stage_and_file_label(self, tmp_path, capsys):
@@ -594,7 +595,8 @@ class TestRunExperiment:
         argv = ["--edges", str(edges), "--attrs", str(attrs), "--metric", "poly",
                 "--spec", str(spec), "--out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: stage S(1,2): node 100: weight underflows to 0.0\n"
+        err = capsys.readouterr().err
+        assert err == "error: stage S(1,2): node 100: weight 0.0 over degree 2 is 0.0\n"
         assert not (out / "summary.json").exists()
         # Total variation's weights are degrees and sums of y, none of which underflows.
         assert main(argv[:4] + ["--no-traces", "--out", str(out)]) == 0
@@ -621,6 +623,28 @@ class TestRunExperiment:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("edges, attrs, spec, extra, message", [
+        # The degree-weighted S(2,0) runs first, and its bound Delta is 1.0.
+        (TRIANGLE_EDGES, TRIANGLE_ATTRS, None, ["--epsilon", "1.2"],
+         "stage S(2,0): epsilon 1.2 outside stable range (0, 1.0); "
+         "pass allow_unstable_epsilon to experiment beyond the bound"),
+        # Node 100's weight is 3 * 2.3e-162**2 = 1.5e-323, so Delta = 5e-324,
+        # and 0.9 * Delta rounds back up to Delta.
+        ("100 200\n100 300\n100 400\n", "100 1.0\n200 2.3e-162\n300 2.3e-162\n400 2.3e-162\n",
+         "1 2 1\n", [], "stage S(1,2): epsilon 5e-324 outside stable range (0, 5e-324)"),
+    ], ids=["explicit-epsilon", "tiny-delta-star"])
+    def test_step_refusal_names_stage(self, tmp_path, capsys, edges, attrs, spec, extra, message):
+        argv = extra + ["--no-traces", "--out", str(tmp_path / "o")]
+        for name, text in (("edges", edges), ("attrs", attrs), ("spec", spec)):
+            if text is not None:
+                (tmp_path / f"{name}.txt").write_text(text)
+                argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        if spec is not None:
+            argv += ["--metric", "poly"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_mean_too_small_for_its_draws_exits_before_the_graph(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -816,6 +840,13 @@ class TestRunExperiment:
             (None, ["--edges", "missing.txt", "--attrs", "missing.txt", "--metric", "poly",
                     "--tol-step", "nan", "--shift", "-1"],
              "--metric poly and --spec PATH go together"),
+            (None, ["--er", "1e3", "0.1", "--seed", "1", "--exp-mean", "5"],
+             "error: --er takes an integer N and a number P, not '1e3' '0.1'"),
+            (None, ["--er", "30", "abc", "--seed", "1", "--exp-mean", "5"],
+             "error: --er takes an integer N and a number P, not '30' 'abc'"),
+            # The largest draw, about 37.4 * 1e308, would overflow to inf.
+            (None, ["--er", "30", "0.3", "--seed", "1", "--exp-mean", "1e308"],
+             "error: --exp-mean 1e+308 is so large that a draw overflows to inf"),
         ],
     )
     def test_input_error_exits_1(self, attrs_text, extra, message, tmp_path, capsys):
@@ -1061,6 +1092,14 @@ class TestRunExperiment:
     def test_validate_rejects(self, fields, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(edges_path="x", **fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(er_n=10, seed=1, exp_mean=5.0),  # P missing: generate_synthetic raised TypeError
+        dict(edges_path="x", er_p=0.5, attrs_path="y"),  # P beside an edge list went unread
+    ], ids=["n-without-p", "p-with-edges"])
+    def test_er_fields_go_together(self, fields):
+        with pytest.raises(ValueError, match=r"^choose exactly one graph source \(--edges, or --er N P\)$"):
+            ExperimentConfig(**fields)
 
     def test_synthetic_without_seed_rejected(self):
         with pytest.raises(ValueError):

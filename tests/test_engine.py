@@ -18,7 +18,7 @@ from linkmetrics.engine import (
     node_powers,
     wac_run,
 )
-from linkmetrics.graph import DisconnectedGraphError, Graph, diameter, from_edges
+from linkmetrics.graph import DisconnectedGraphError, Graph, diameter, from_edges, parse_edge_list
 from linkmetrics.metrics import MetricSpec
 from linkmetrics.rng import SplitMix64
 
@@ -107,8 +107,14 @@ class TestMaxStepSize:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_nonfinite_weight_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"^node 1: weight {bad} over degree 2 is {bad}$"):
             max_step_size([1.0, bad, 1.0], triangle())
+
+    def test_rejected_weight_names_node_label(self):
+        # Node 20 is graph index 1; the refusal names the label in the edge list.
+        g = parse_edge_list("10 20\n20 30\n")
+        with pytest.raises(ConfigurationError, match=r"^node 20: weight nan over degree 2 is nan$"):
+            max_step_size([1.0, math.nan, 1.0], g)
 
 
 class TestNeighborWeightSums:
@@ -238,12 +244,12 @@ class TestWacRun:
             wac_run(triangle(), [1.0, 2.0, 3.0], [2.0] * 3, ConsensusConfig(epsilon=1.5))
 
     @pytest.mark.parametrize("w, epsilon, message", [
-        # Delta = 5e-324/2 rounds to 0.0, and so does the derived step.
-        ([5e-324, 1.0, 1.0], None, r"^epsilon 0\.0 outside stable range \(0, 0\.0\)$"),
+        # Node 0's ratio 5e-324/2, and so Delta, rounds to 0.0.
+        ([5e-324, 1.0, 1.0], None, r"^node 0: weight 5e-324 over degree 2 is 0\.0$"),
         # Delta = 5e-323/2, and 0.9 of it rounds back up to Delta.
         ([5e-323, 10.0, 10.0], None, r"^epsilon 2\.5e-323 outside stable range \(0, 2\.5e-323\)$"),
         # A stable step, but 2e-323/10 rounds to 0.0, so nodes 1 and 2 could never move.
-        ([5e-323, 10.0, 10.0], 2e-323, r"^epsilon 2e-323 / w\[1\] underflows to 0\.0$"),
+        ([5e-323, 10.0, 10.0], 2e-323, r"^node 1: epsilon 2e-323 / 10\.0 is 0\.0$"),
     ], ids=["delta-zero", "eps-equals-delta", "eps-over-w-zero"])
     def test_step_that_cannot_move_every_node_rejected(self, w, epsilon, message):
         # Each of these ran and reported "converged" with nodes that never moved.
@@ -567,7 +573,9 @@ class TestBlockedRounds:
         if data.draw(st.booleans()):  # Delta or some eps/w_i may then round to 0.0
             w[data.draw(st.integers(0, n - 1))] = data.draw(_TINY_WEIGHTS)
         fraction = data.draw(st.sampled_from([None, 0.5, 1.9, 2.5]))
-        epsilon = None if fraction is None else fraction * max_step_size(w, g)
+        # A ratio w_i/d_i that rounds to 0.0 refuses the bound, and so both runs.
+        delta = _run_outcome(lambda g, x0, w, cfg: max_step_size(w, g), g, x0, w, None)
+        epsilon = None if fraction is None or delta is ConfigurationError else fraction * delta
         assume(epsilon != 0.0)  # the config refuses an explicit zero step
         settings_ = dict(
             epsilon=epsilon,

@@ -378,10 +378,11 @@ class TestOverflowingStages:
         # (1e-200)**2 underflows to 0, so every weight of S(1,2) is 0.0. A
         # graph built in memory is labelled by its indices.
         spec = MetricSpec(terms=((1, 2, 1.0),))
-        with pytest.raises(ValueError, match=r"^stage S\(1,2\): node 0: weight underflows to 0\.0$"):
+        message = r"^stage S\(1,2\): node 0: weight 0\.0 over degree 2 is 0\.0$"
+        with pytest.raises(ValueError, match=message):
             polynomial_metric(triangle(), [1e-200] * 3, spec)
         # On the path 0-1-2 only the middle node's neighbors are all tiny.
-        with pytest.raises(ValueError, match=r"node 1: weight underflows"):
+        with pytest.raises(ValueError, match=r"node 1: weight 0\.0 over degree 2"):
             polynomial_metric(path(3), [1e-200, 1.0, 1e-200], spec)
 
     def test_overflowing_term_sum_rejected(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkmetrics.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, derive_seed
+from linkmetrics.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, check_mean, derive_seed
 
 MASK = (1 << 64) - 1
 # Seeds near 0 and near 2**64, where the state advance wraps.
@@ -68,6 +68,18 @@ class TestSplitMix64:
         assert SplitMix64(top).exponential(math.nextafter(sys.float_info.min, 1.0)) == 5e-324
         rng = SplitMix64(3)
         assert all(rng.exponential(math.nextafter(sys.float_info.min, 1.0)) > 0 for _ in range(1000))
+
+    def test_mean_whose_largest_draw_overflows_rejected(self):
+        # The largest draw is mean * 54 * ln 2 (about 37.4 * mean), at the
+        # smallest u = 2**-54: an output whose top 53 bits are all zeros.
+        with pytest.raises(ValueError, match=r"^mean 1e\+308 is so large that a draw overflows to inf$"):
+            check_mean(1e308)
+        with pytest.raises(ValueError, match="so large"):
+            SplitMix64(0).exponential_block(1000, 1e308)
+        bottom = _seed_with_first_output(0)
+        assert SplitMix64(bottom).exponential(4.8e306) == -4.8e306 * math.log(2.0**-54) < math.inf
+        with pytest.raises(ValueError, match="so large"):
+            SplitMix64(bottom).exponential(4.81e306)
 
     def test_derive_seed_streams_differ(self):
         assert derive_seed(42, 0) != derive_seed(42, 1)
