@@ -23,15 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .graph import DisconnectedGraphError, Graph
-
-
-class IsolatedNodeError(ValueError):
-    """An operation needs every node to have at least one neighbor."""
+from .graph import Graph
 
 
 class ConfigurationError(ValueError):
-    """Invalid consensus configuration (step size, tolerances, lengths)."""
+    """Invalid consensus configuration: step size, tolerances, cap, lengths, or a w_i / d_i."""
 
 
 @dataclass(frozen=True)
@@ -100,20 +96,21 @@ arrives. The array is fresh for each call and never written again, so a
 sink may keep it but must not write to it."""
 
 
-def validate_positive(values: Sequence[float], name: str) -> None:
+def validate_positive(values: Sequence[float], name: str, labels: Sequence | None = None) -> None:
     v = np.asarray(values, dtype=float)
     ok = (v > 0) & (v < math.inf)
     if not ok.all():
         i = ok.argmin()  # the first value that fails
-        raise ValueError(f"{name}[{i}] = {values[i]} must be positive and finite")
+        where = f"{name}[{i}] =" if labels is None else f"node {labels[i]}: {name}"
+        raise ValueError(f"{where} {values[i]} must be positive and finite")
 
 
 def max_step_size(w: Sequence[float], g: Graph) -> float:
     """Stability bound Delta = min_i w_i / d_i, agreed by min-consensus
-    within N - 1 rounds, which bound the diameter. A disconnected graph
-    raises DisconnectedGraphError, a w_i / d_i outside (0, inf) ConfigurationError."""
+    within N - 1 rounds, which bound the diameter. An isolated node or a
+    disconnected graph raises ValueError, a w_i / d_i outside (0, inf) ConfigurationError."""
     if 0 in g.degrees:
-        raise IsolatedNodeError("graph has an isolated node")
+        raise ValueError(f"node {g.original_ids[g.degrees.index(0)]} is isolated")
     if len(w) != g.node_count:
         raise ConfigurationError("weight vector length mismatch")
     # Both float64: an int64 divisor would be cast through ufunc buffers.
@@ -156,9 +153,9 @@ def neighbor_weight_sums(g: Graph, y: Sequence[float], k: int) -> np.ndarray:
     """w_i = sum over neighbors j of y_j**k in ascending neighbor order, as float64."""
     if k < 0:
         raise ValueError("exponent k must be >= 0")
-    validate_positive(y, "y")
+    validate_positive(y, "attribute", g.original_ids)
     if 0 in g.degrees:
-        raise IsolatedNodeError("neighbor weight sum undefined for isolated node")
+        raise ValueError(f"node {g.original_ids[g.degrees.index(0)]} is isolated")
     bins, partners = _neighbor_layout(g)
     powers = node_powers(y, k, g.original_ids)  # errors name nodes by label
     return np.bincount(bins, weights=powers[partners], minlength=g.node_count)
@@ -336,7 +333,7 @@ def min_consensus(
     detection itself. States must be finite, since `np.minimum` spreads nan.
     """
     if not graphmod.is_connected(g):
-        raise DisconnectedGraphError("min_consensus requires a connected graph")
+        raise ValueError("min_consensus requires a connected graph")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     x = np.array(x0, dtype=float)

@@ -11,19 +11,6 @@ from typing import Iterator
 import numpy as np
 
 
-class GraphFormatError(ValueError):
-    """A malformed line in any input file (edge list, attribute or spec
-    file), or a self-loop handed to `from_edges`."""
-
-
-class EmptyGraphError(ValueError):
-    """Input contained no usable data lines."""
-
-
-class DisconnectedGraphError(ValueError):
-    """Operation requires a connected graph."""
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with sorted adjacency lists.
@@ -93,7 +80,7 @@ def from_edges(n: int, edges, original_ids=None) -> Graph:
     if len(bad):
         a, b = edges[bad[0]]
         if a == b:
-            raise GraphFormatError(f"self-loop at node {a}")
+            raise ValueError(f"self-loop at node {a}")
         raise ValueError(f"edge ({a},{b}) out of range for n={n}")
     # Keys src * n + dst of both orientations, sorted and deduplicated, are
     # the adjacency in CSR order. (np.unique hashes them first: 10x slower.)
@@ -109,9 +96,9 @@ def from_edges(n: int, edges, original_ids=None) -> Graph:
 
 def data_rows(text: str, what: str, kinds: tuple[type, ...]) -> Iterator[tuple[int, list]]:
     """(line number, its tokens converted by `kinds`) for each line of an
-    input file that is neither blank nor a '#' comment. GraphFormatError
-    names the first line without one token per kind, or with a token its
-    kind rejects: '<what> line N: expected K tokens, got J' or
+    input file that is neither blank nor a '#' comment. The first line
+    without one token per kind, or with a token its kind rejects, raises
+    ValueError: '<what> line N: expected K tokens, got J' or
     '<what> line N: bad token in <line>'."""
     columns = tuple(enumerate(kinds))  # once: a per-line zip or enumerate slows ingest 20-55%
     for lineno, raw in enumerate(str.splitlines(text), start=1):  # bytes raise TypeError
@@ -119,13 +106,13 @@ def data_rows(text: str, what: str, kinds: tuple[type, ...]) -> Iterator[tuple[i
         if not parts or parts[0][0] == "#":
             continue
         if len(parts) != len(kinds):
-            raise GraphFormatError(
+            raise ValueError(
                 f"{what} line {lineno}: expected {len(kinds)} tokens, got {len(parts)}")
         try:
             for i, kind in columns:
                 parts[i] = kind(parts[i])
         except ValueError:
-            raise GraphFormatError(f"{what} line {lineno}: bad token in {raw.strip()!r}") from None
+            raise ValueError(f"{what} line {lineno}: bad token in {raw.strip()!r}") from None
         yield lineno, parts
 
 
@@ -139,13 +126,13 @@ def parse_edge_list(source: str) -> Graph:
     labels: list[int] = []  # both ends of every data line, in file order
     for lineno, (u_lbl, v_lbl) in data_rows(source, "edge", (int, int)):
         if u_lbl < 0 or v_lbl < 0:
-            raise GraphFormatError(f"edge line {lineno}: negative node id")
+            raise ValueError(f"edge line {lineno}: negative node id")
         if u_lbl == v_lbl:
-            raise GraphFormatError(f"edge line {lineno}: self-loop on node {u_lbl}")
+            raise ValueError(f"edge line {lineno}: self-loop on node {u_lbl}")
         labels += (u_lbl, v_lbl)
 
     if not labels:
-        raise EmptyGraphError("edge list contains no data lines")
+        raise ValueError("edge list contains no data lines")
     index_of = dict(zip(dict.fromkeys(labels), count()))  # first-appearance order
     edges = np.fromiter(map(index_of.__getitem__, labels), dtype=np.int64, count=len(labels))
     return from_edges(len(index_of), edges, original_ids=list(index_of))
@@ -194,7 +181,7 @@ def largest_connected_component(g: Graph) -> Graph:
 def diameter(g: Graph) -> int:
     """Max shortest-path length over all node pairs (BFS from every node)."""
     if not is_connected(g):
-        raise DisconnectedGraphError("diameter requires a connected graph")
+        raise ValueError("diameter requires a connected graph")
     ecc = 0
     for s in range(g.node_count):
         dist = [-1] * g.node_count

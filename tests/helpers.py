@@ -10,13 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from linkmetrics import cli, engine, metrics, oracle
-from linkmetrics.graph import (
-    EmptyGraphError,
-    Graph,
-    GraphFormatError,
-    from_edges,
-    largest_connected_component,
-)
+from linkmetrics.graph import Graph, from_edges, largest_connected_component
 from linkmetrics.rng import SplitMix64, derive_seed
 from linkmetrics.simharness import HarnessTrace
 
@@ -106,7 +100,7 @@ def reference_from_edges(n: int, edges, original_ids=None) -> Graph:
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
-            raise GraphFormatError(f"self-loop at node {u}")
+            raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         adj[u].add(v)
@@ -128,20 +122,20 @@ def reference_parse_edge_list(source: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"edge line {lineno}: expected 2 tokens, got {len(parts)}")
+            raise ValueError(f"edge line {lineno}: expected 2 tokens, got {len(parts)}")
         try:
             u_lbl, v_lbl = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"edge line {lineno}: bad token in {line!r}") from None
+            raise ValueError(f"edge line {lineno}: bad token in {line!r}") from None
         if u_lbl < 0 or v_lbl < 0:
-            raise GraphFormatError(f"edge line {lineno}: negative node id")
+            raise ValueError(f"edge line {lineno}: negative node id")
         if u_lbl == v_lbl:
-            raise GraphFormatError(f"edge line {lineno}: self-loop on node {u_lbl}")
+            raise ValueError(f"edge line {lineno}: self-loop on node {u_lbl}")
         for lbl in (u_lbl, v_lbl):
             index_of.setdefault(lbl, len(index_of))
         edges.append((index_of[u_lbl], index_of[v_lbl]))
     if not edges:
-        raise EmptyGraphError("edge list contains no data lines")
+        raise ValueError("edge list contains no data lines")
     return reference_from_edges(len(index_of), edges, original_ids=list(index_of))
 
 
@@ -168,12 +162,13 @@ def reference_largest_connected_component(g: Graph) -> Graph:
     return reference_from_edges(len(best), edges, original_ids=[g.original_ids[i] for i in best])
 
 
-def reference_validate_positive(values, name: str) -> None:
+def reference_validate_positive(values, name: str, labels=None) -> None:
     """engine.validate_positive as a loop that stops at the first value
-    that is not positive and finite."""
+    that is not positive and finite, named by index or by label."""
     for i, v in enumerate(values):
         if not 0 < v < math.inf:
-            raise ValueError(f"{name}[{i}] = {v} must be positive and finite")
+            where = f"{name}[{i}] =" if labels is None else f"node {labels[i]}: {name}"
+            raise ValueError(f"{where} {v} must be positive and finite")
 
 
 def reference_node_powers(y, k: int) -> np.ndarray:
@@ -214,9 +209,10 @@ def reference_neighbor_weight_sums(g: Graph, y, k: int) -> list[float]:
     same checks in the same order."""
     if k < 0:
         raise ValueError("exponent k must be >= 0")
-    reference_validate_positive(y, "y")
-    if any(d == 0 for d in g.degrees):
-        raise engine.IsolatedNodeError("neighbor weight sum undefined for isolated node")
+    reference_validate_positive(y, "attribute", g.original_ids)
+    for label, d in zip(g.original_ids, g.degrees):
+        if d == 0:
+            raise ValueError(f"node {label} is isolated")
     yk = reference_node_powers(y, k).tolist()  # Python floats overflow to inf silently
     out = []
     for nbrs in g.adjacency:

@@ -864,6 +864,29 @@ class TestRunExperiment:
         assert not (out / "summary.json").exists()
         assert not out.exists()
 
+    def test_edge_list_without_data_lines_exits_1(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("# header only\n\n")
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text(TRIANGLE_ATTRS)
+        out = tmp_path / "o"
+        assert main(["--edges", str(edges), "--attrs", str(attrs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: edge list contains no data lines\n"
+        assert not out.exists()
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 5: with epsilon 1e-20 every step is below the step "
+        "tolerance at round 1, so each stage claims convergence far from its target",
+    )
+    def test_exit_0_means_metric_matches_oracle(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["--er", "60", "0.1", "--seed", "1", "--exp-mean", "5", "--epsilon", "1e-20",
+                "--oracle", "--no-traces", "--out", str(out)]
+        if main(argv) == 0:
+            summary = json.loads((out / "summary.json").read_text())
+            assert abs(summary["oracle"]["delta"]) <= 1e-6 * abs(summary["metric_value"])
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out

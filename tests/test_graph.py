@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkmetrics import cli, metrics
 from linkmetrics.graph import (
-    DisconnectedGraphError,
-    EmptyGraphError,
     Graph,
-    GraphFormatError,
     diameter,
     from_edges,
     is_connected,
@@ -41,19 +39,19 @@ class TestParseEdgeList:
         assert g.edge_count == 1
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(ValueError, match=r"^edge line 1: self-loop on node 0$"):
             parse_edge_list("0 0")
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(ValueError, match=r"^edge line 1: bad token in '0 x'$"):
             parse_edge_list("0 x")
 
     def test_no_data_lines(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(ValueError, match=r"^edge list contains no data lines$"):
             parse_edge_list("# only comments\n\n")
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(ValueError, match=r"^edge line 1: expected 2 tokens, got 3$"):
             parse_edge_list("0 1 2")
 
     def test_sparse_ids_remapped_first_appearance(self):
@@ -93,9 +91,8 @@ class TestDataRows:
              "spec-token"],
     )
     def test_names_the_first_malformed_line(self, parse, good, bad, message):
-        with pytest.raises(GraphFormatError) as info:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse(f"\n# comment\n{good}\n{bad}\n{good}\n")
-        assert str(info.value) == message
 
 
 class TestStoredFields:
@@ -186,7 +183,7 @@ class TestConnectivityAndDiameter:
         assert diameter(from_edges(1, [])) == 0
 
     def test_diameter_rejects_disconnected(self):
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(ValueError, match=r"^diameter requires a connected graph$"):
             diameter(from_edges(4, [(0, 1), (2, 3)]))
 
     def test_path_diameters_against_floyd_warshall(self):
@@ -354,9 +351,11 @@ class TestArrayIngest:
     def test_first_malformed_line_in_file_order(self):
         # One line of each kind; each parse names the earliest.
         lines = ["0 1", "2 2", "-1 3", "x 4", "1 2 3"]
-        for first in range(1, len(lines)):
+        messages = ["self-loop on node 2", "negative node id", "bad token in 'x 4'",
+                    "expected 2 tokens, got 3"]
+        for first, message in enumerate(messages, start=1):
             text = "\n".join(lines[:1] + lines[first:] + lines[1:first])
-            with pytest.raises(GraphFormatError, match="^edge line 2: "):
+            with pytest.raises(ValueError, match=f"^edge line 2: {re.escape(message)}$"):
                 parse_edge_list(text)
             assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkmetrics import cli, engine, oracle
 from linkmetrics.engine import ConsensusConfig
-from linkmetrics.graph import from_edges
+from linkmetrics.graph import from_edges, parse_edge_list
 from linkmetrics.metrics import (
     MetricSpec,
     parse_metric_spec,
@@ -94,6 +94,13 @@ class TestTotalVariationPipeline:
     def test_nonpositive_attribute_rejected(self):
         with pytest.raises(ValueError):
             total_variation_pipeline(triangle(), [1.0, -2.0, 3.0])
+
+    def test_rejected_attribute_names_stage_and_label(self):
+        # Node 20 is graph index 1; the refusal names the label in the edge list.
+        g = parse_edge_list("10 20\n20 30\n")
+        message = r"^stage S\(2,0\): node 20: attribute inf must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            total_variation_pipeline(g, [1.0, math.inf, 1.0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle(self, seed):
